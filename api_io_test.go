@@ -64,19 +64,6 @@ func TestPublicSerialization(t *testing.T) {
 	}
 }
 
-func TestPublicSharded(t *testing.T) {
-	ds := SUSYLike(160, 6)
-	res, err := TrainSharded(ShardedConfig{
-		Kernel: GaussianKernel(4), Workers: 2, Epochs: 3, Seed: 6,
-	}, ds.X, ds.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters == 0 {
-		t.Fatal("no iterations")
-	}
-}
-
 func TestPublicDeviceGroup(t *testing.T) {
 	g, err := NewDeviceGroup(SimTitanXp(), 4, DeviceGroupOptions{
 		SyncOverhead: 100 * time.Microsecond, ScalingEfficiency: 0.9,

@@ -18,11 +18,10 @@ import (
 // trace ID echoed in a predict response is findable at GET /debug/traces.
 func TestObservabilityHTTP(t *testing.T) {
 	reg := NewMetricsRegistry()
-	tracer := NewTracer(0)
-	srv := NewServer(ServerConfig{Metrics: reg, Tracer: tracer})
+	srv := NewServer(ServerConfig{Metrics: reg})
 	defer srv.Close()
 	mgr := NewTrainingManager(TrainingConfig{
-		Workers: 1, Registrar: srv, Metrics: reg, Tracer: tracer,
+		Workers: 1, Registrar: srv, Metrics: reg,
 	})
 	defer mgr.Close()
 	ts := httptest.NewServer(NewTrainServeHandler(srv, mgr))
@@ -203,12 +202,11 @@ func TestObservabilityHTTP(t *testing.T) {
 // runtime telemetry rides along on the exposition.
 func TestTraceIDTriad(t *testing.T) {
 	reg := NewMetricsRegistry()
-	tracer := NewTracer(0)
 	events := NewEventLog(0)
-	srv := NewServer(ServerConfig{Metrics: reg, Tracer: tracer, Events: events})
+	srv := NewServer(ServerConfig{Metrics: reg, Events: events})
 	defer srv.Close()
 	mgr := NewTrainingManager(TrainingConfig{
-		Workers: 1, Registrar: srv, Metrics: reg, Tracer: tracer, Events: events,
+		Workers: 1, Registrar: srv, Metrics: reg, Events: events,
 	})
 	defer mgr.Close()
 	ts := httptest.NewServer(NewTrainServeHandler(srv, mgr))

@@ -26,14 +26,12 @@ func TestSLOBreachLifecycle(t *testing.T) {
 
 	reg := NewMetricsRegistry()
 	events := NewEventLog(512)
-	tracer := NewTracer(64)
 
 	flight, err := NewFlightRecorder(FlightConfig{
 		Dir:         t.TempDir(),
 		CPUProfile:  20 * time.Millisecond,
 		MinInterval: time.Hour, // one snapshot per test run, whatever flaps
 		Events:      events,
-		Tracers:     []*Tracer{tracer},
 		Registries:  []*MetricsRegistry{reg},
 	})
 	if err != nil {
@@ -62,7 +60,7 @@ func TestSLOBreachLifecycle(t *testing.T) {
 	defer ev.Close()
 
 	srv := NewServer(ServerConfig{
-		Metrics: reg, Events: events, Tracer: tracer,
+		Metrics: reg, Events: events,
 		SLO: ev, Flight: flight,
 	})
 	defer srv.Close()

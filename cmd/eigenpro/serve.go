@@ -40,9 +40,8 @@ func runServe(args []string) {
 	shed := fs.Bool("shed", false, "deadline-aware admission: reject requests whose deadline cannot survive the estimated queue wait (429)")
 	metricsOn := fs.Bool("metrics", true, "expose GET /metrics, GET /debug/traces, and GET /debug/events")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	traceEvery := fs.Int("trace-every", 1, "trace every Nth predict request (<0 disables tracing)")
 	logFile := fs.String("log-file", "", "mirror wide events as JSON lines to this file (empty: ring only; \"-\" for stderr)")
-	logEvery := fs.Int("log-every", 1, "keep 1-in-N ok events (warn/error always kept)")
+	logEvery := fs.Int("log-every", 1, "record 1-in-N predict requests: trace ID, exemplar, ok event (<0 records none; warn/error always kept)")
 	sloLatencyP99 := fs.Duration("slo-latency-p99", 0, "latency SLO: requests must complete within this long (0 disables the objective)")
 	sloAvailability := fs.Float64("slo-availability", 0, "availability SLO target in (0,1), e.g. 0.999 (0 disables the objective)")
 	sloWindow := fs.Duration("slo-window", 5*time.Minute, "fast burn-rate window (the slow window is 6x this)")
@@ -62,12 +61,11 @@ func runServe(args []string) {
 	seed := fs.Int64("seed", 1, "fallback training seed")
 	fs.Parse(args)
 
-	// One registry, one trace ring, and one wide-event log shared by
-	// serving, the job manager, and (through it) the per-job trainers: a
-	// single /metrics scrape, /debug/traces read, or /debug/events query
-	// covers the whole process.
+	// One registry and one wide-event log shared by serving, the job
+	// manager, and (through it) the per-job trainers: a single /metrics
+	// scrape, /debug/traces read, or /debug/events query covers the whole
+	// process.
 	reg := eigenpro.NewMetricsRegistry()
-	tracer := eigenpro.NewTracer(0)
 	events := eigenpro.NewEventLog(0)
 	events.SetSampleEvery(*logEvery)
 	switch *logFile {
@@ -95,7 +93,6 @@ func runServe(args []string) {
 			CPUProfile:  *flightProfile,
 			MinInterval: *flightInterval,
 			Events:      events,
-			Tracers:     []*eigenpro.Tracer{tracer},
 			Registries:  []*eigenpro.MetricsRegistry{reg},
 		})
 		if err != nil {
@@ -139,8 +136,6 @@ func runServe(args []string) {
 		Timeout:    *timeout,
 		Shed:       *shed,
 		Metrics:    reg,
-		Tracer:     tracer,
-		TraceEvery: *traceEvery,
 		Events:     events,
 		SLO:        sloEval,
 		Flight:     flight,
@@ -156,7 +151,6 @@ func runServe(args []string) {
 		QueueDepth:      *trainQueue,
 		Registrar:       srv,
 		Metrics:         reg,
-		Tracer:          tracer,
 		Events:          events,
 		SLO:             sloEval,
 		Flight:          flight,

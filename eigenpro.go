@@ -36,7 +36,6 @@ import (
 	"eigenpro/internal/metrics"
 	"eigenpro/internal/obs"
 	"eigenpro/internal/obs/slo"
-	"eigenpro/internal/parallel"
 	"eigenpro/internal/serve"
 	"eigenpro/internal/svm"
 )
@@ -248,15 +247,14 @@ func NewServerHandler(s *Server) http.Handler { return serve.NewHandler(s) }
 // endpoint.
 type MetricsRegistry = obs.Registry
 
-// Tracer is a bounded in-memory ring of per-request span traces.
-type Tracer = obs.Tracer
-
 // EventLog is a lock-free bounded ring of wide events: one structured
 // record per served request, training epoch, and job state transition,
 // with leveled severity, head+tail sampling (errors always kept, ok
-// outcomes 1-in-N), and an optional JSON-lines sink. Pass one log as both
-// ServerConfig.Events and TrainingConfig.Events to read the whole
-// system's history from a single /debug/events endpoint.
+// requests recorded 1-in-N), and an optional JSON-lines sink. It is the
+// only per-request and per-job record: /debug/traces reads its span
+// traces out of the same events. Pass one log as both ServerConfig.Events
+// and TrainingConfig.Events to read the whole system's history from a
+// single /debug/events or /debug/traces endpoint.
 type EventLog = obs.EventLog
 
 // Event is one wide event record; see EventLog.
@@ -284,10 +282,6 @@ func Label(k, v string) MetricLabel { return obs.L(k, v) }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTracer returns a trace ring holding the newest capacity traces
-// (<= 0 selects a default capacity).
-func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
-
 // NewEventLog returns an event log retaining the newest capacity events
 // (<= 0 selects a default capacity of 4096).
 func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
@@ -298,9 +292,9 @@ func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
 // Duplicate registries are exposed once.
 func MetricsHandler(regs ...*MetricsRegistry) http.Handler { return obs.MetricsHandler(regs...) }
 
-// TracesHandler serves the tracers' recent span traces as JSON
-// (?id= for one trace, ?limit= to bound the response).
-func TracesHandler(tracers ...*Tracer) http.Handler { return obs.TracesHandler(tracers...) }
+// TracesHandler serves the span traces the logs' events still hold as
+// JSON (?id= for one trace, ?limit= to bound the response).
+func TracesHandler(logs ...*EventLog) http.Handler { return obs.TracesHandler(logs...) }
 
 // EventsHandler serves the logs' recent wide events as JSON, filtered by
 // ?kind=&model=&outcome=&job=&level=&since=&limit=.
@@ -317,7 +311,7 @@ func RegisterRuntimeMetrics(reg *MetricsRegistry) { obs.RegisterRuntimeMetrics(r
 // job or run name. The training manager installs this automatically for
 // its jobs; use it directly to log a standalone Train run.
 func LogTraining(log *EventLog, job string) func(EpochStats) {
-	return core.LogTraining(log, job, core.EpochStats{})
+	return core.LogTraining(log, job, "", core.EpochStats{})
 }
 
 // PprofHandler serves the net/http/pprof profiling endpoints under
@@ -384,8 +378,8 @@ func NewSLOEvaluator(cfg SLOConfig) (*SLOEvaluator, error) { return slo.New(cfg)
 func SLOHandler(evs ...*SLOEvaluator) http.Handler { return slo.Handler(evs...) }
 
 // FlightRecorder captures breach-triggered debugging snapshots: a CPU
-// profile, heap profile, goroutine dump, the newest wide events, the
-// retained span traces, and both metrics expositions, written as one
+// profile, heap profile, goroutine dump, the newest wide events, the span
+// traces they hold, and both metrics expositions, written as one
 // directory per capture into a bounded, rate-limited disk ring. Arm it
 // via SLOConfig.Flight so every warn→page escalation ships with the
 // evidence needed to diagnose it. A nil *FlightRecorder is valid and
@@ -494,8 +488,8 @@ func JobStatus(m *TrainingManager, id string) (TrainingJob, bool) { return m.Job
 // device-clock utilization, queue depths, per-job epoch progress, and the
 // train-MSE trajectory; runtime telemetry (go_*) rides along, and an
 // Accept: application/openmetrics-text header selects OpenMetrics with
-// latency exemplars. GET /debug/traces merges both span rings,
-// GET /debug/events merges both wide-event logs, GET /debug/slo merges
+// latency exemplars. GET /debug/traces and GET /debug/events merge both
+// wide-event logs, GET /debug/slo merges
 // both SLO evaluators (and /debug/flight serves whichever flight recorder
 // is attached), and GET /readyz reports ready once a model is servable or
 // the manager is accepting jobs — degraded (503) while any SLO objective
@@ -508,7 +502,7 @@ func NewTrainServeHandler(s *Server, m *TrainingManager) http.Handler {
 	mux.Handle("/jobs", jh)
 	mux.Handle("/jobs/", jh)
 	mux.Handle("/metrics", obs.MetricsHandler(s.Metrics(), m.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(s.Tracer(), m.Tracer()))
+	mux.Handle("/debug/traces", obs.TracesHandler(s.Events(), m.Events()))
 	mux.Handle("/debug/events", obs.EventsHandler(s.Events(), m.Events()))
 	mux.Handle("/debug/slo", slo.Handler(s.SLO(), m.SLO()))
 	flight := s.Flight()
@@ -600,34 +594,6 @@ func ReadLibSVM(r io.Reader, name string, dim int) (*Dataset, error) {
 
 // WriteLibSVM writes a dataset in LibSVM/SVMLight sparse format.
 func WriteLibSVM(w io.Writer, ds *Dataset) error { return data.WriteLibSVM(w, ds) }
-
-// ShardedConfig configures data-parallel training across a device group
-// (the paper's §6 multi-GPU direction).
-type ShardedConfig = parallel.Config
-
-// ShardedResult reports a data-parallel run.
-type ShardedResult = parallel.Result
-
-// TrainSharded fits a kernel machine with the center set partitioned
-// across workers; the result matches single-device Train up to roundoff.
-func TrainSharded(cfg ShardedConfig, x, y *Matrix) (*ShardedResult, error) {
-	return parallel.Train(cfg, x, y)
-}
-
-// ShardedTrainer is the interruptible state machine behind TrainSharded,
-// with the same Step/Checkpoint/resume contract as Trainer.
-type ShardedTrainer = parallel.Trainer
-
-// NewShardedTrainer prepares an interruptible sharded training run.
-func NewShardedTrainer(cfg ShardedConfig, x, y *Matrix) (*ShardedTrainer, error) {
-	return parallel.NewTrainer(cfg, x, y)
-}
-
-// ResumeShardedTrainer reconstructs a ShardedTrainer from a checkpoint;
-// the resumed run reproduces the uninterrupted run bit for bit.
-func ResumeShardedTrainer(r io.Reader, x, y *Matrix) (*ShardedTrainer, error) {
-	return parallel.ResumeTrainer(r, x, y)
-}
 
 // MSE returns the mean squared error between predictions and targets.
 func MSE(pred, target *Matrix) float64 { return metrics.MSE(pred, target) }

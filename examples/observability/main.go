@@ -1,15 +1,16 @@
 // Observability: wire serving, the training-job manager, and the per-job
-// trainers onto ONE metrics registry, ONE trace ring, and ONE wide-event
-// log, then read the whole process back through the unified endpoints —
-// a Prometheus/OpenMetrics exposition at /metrics, per-request span
-// traces at /debug/traces, and structured wide events at /debug/events.
+// trainers onto ONE metrics registry and ONE wide-event log, then read the
+// whole process back through the unified endpoints — a
+// Prometheus/OpenMetrics exposition at /metrics, structured wide events at
+// /debug/events, and per-request span traces at /debug/traces, which is a
+// view over those same events (one record per request, not two).
 //
 // The walkthrough drives the full train → serve loop over HTTP (the same
 // combined handler `eigenpro serve` mounts), then prints:
 //
 //   - the trace of one predict request (enqueue → batch-wait →
-//     device-execute), located in the ring by the trace ID the HTTP
-//     response echoed back;
+//     device-execute), derived from its wide event and located by the
+//     trace ID the HTTP response echoed back;
 //   - the trace of the training job (submit → queue → epoch[k] →
 //     register);
 //   - the same trace ID resolved on the other two surfaces: the
@@ -46,16 +47,16 @@ import (
 )
 
 func main() {
-	// One registry, one trace ring, and one wide-event log for the whole
-	// process. Passing the same trio to both configs is the entire
-	// integration story: serving counters, job-state gauges, per-epoch
-	// training telemetry, and every wide event all land on the same
-	// endpoints.
+	// One registry and one wide-event log for the whole process. Passing
+	// the same pair to both configs is the entire integration story:
+	// serving counters, job-state gauges, per-epoch training telemetry,
+	// every wide event, and the span traces read out of those events all
+	// land on the same endpoints.
 	reg := eigenpro.NewMetricsRegistry()
-	tracer := eigenpro.NewTracer(0)   // 0 = default ring capacity
 	events := eigenpro.NewEventLog(0) // 0 = default 4096-event ring
-	// In production, sample steady-state ok events (errors, sheds, and
-	// expiries are always kept) and mirror to a JSON-lines sink:
+	// In production, record 1-in-10 steady-state requests (the log's one
+	// sampler: errors, sheds, and expiries are always kept) and mirror to
+	// a JSON-lines sink:
 	//   events.SetSampleEvery(10)
 	//   events.SetSink(os.Stderr, eigenpro.EventWarn)
 
@@ -102,7 +103,6 @@ func main() {
 
 	srv := eigenpro.NewServer(eigenpro.ServerConfig{
 		Metrics: reg,
-		Tracer:  tracer,
 		Events:  events,
 		SLO:     sloEval,
 		Flight:  flight,
@@ -112,7 +112,6 @@ func main() {
 		Workers:   1,
 		Registrar: srv, // finished jobs auto-register on the server
 		Metrics:   reg,
-		Tracer:    tracer,
 		Events:    events,
 	})
 	defer mgr.Close()
@@ -161,13 +160,14 @@ func main() {
 	pr.Body.Close()
 	fmt.Printf("predicted label %d (trace %s)\n\n", pred.Labels[0], pred.TraceID)
 
-	// Pull the shared trace ring and print the two traces we hold IDs
-	// for: the predict request and the training job.
+	// Read the trace view (spans derived from the shared event log) and
+	// print the two traces we hold IDs for: the predict request and the
+	// training job.
 	tr, err := http.Get(ts.URL + "/debug/traces")
 	if err != nil {
 		log.Fatal(err)
 	}
-	var ring struct {
+	var view struct {
 		Traces []struct {
 			ID    string `json:"id"`
 			Name  string `json:"name"`
@@ -177,11 +177,11 @@ func main() {
 			} `json:"spans"`
 		} `json:"traces"`
 	}
-	if err := json.NewDecoder(tr.Body).Decode(&ring); err != nil {
+	if err := json.NewDecoder(tr.Body).Decode(&view); err != nil {
 		log.Fatal(err)
 	}
 	tr.Body.Close()
-	for _, snap := range ring.Traces {
+	for _, snap := range view.Traces {
 		if snap.ID != pred.TraceID && snap.ID != job.TraceID {
 			continue
 		}

@@ -15,19 +15,14 @@ import (
 	"eigenpro/internal/serve"
 )
 
-// obsSampleEvery is the instrumented mode's wide-event sampling rate:
-// 1-in-N ok events are kept, matching a production head+tail-sampling
-// deployment while still exercising the emit path on every request.
-const obsSampleEvery = 8
-
 // ObsOverheadPoint is one measured cell of the observability-overhead
 // study: the serving hot path driven with instrumentation minimized or
 // maximized.
 type ObsOverheadPoint struct {
-	// Instrumented is false for the baseline (tracing disabled, events
-	// disabled, no concurrent scrapes) and true for the worst case (every
-	// request traced with a latency exemplar, a wide event emitted per
-	// request into a sinked log, /metrics rendered continuously in
+	// Instrumented is false for the baseline (no request recorded, no
+	// concurrent scrapes) and true for the worst case (every request
+	// recorded with a trace ID, a latency exemplar, and a wide event into
+	// a log with a warn-level sink, /metrics rendered continuously in
 	// OpenMetrics form during the load).
 	Instrumented bool
 	// Requests is the number of completed predictions.
@@ -38,7 +33,8 @@ type ObsOverheadPoint struct {
 	// the baseline).
 	Scrapes int64
 	// EventsEmitted and EventsDropped count the wide events kept in (and
-	// sampled out of) the event ring (0 for the baseline).
+	// sampled out of) the event ring: the baseline keeps none and samples
+	// every request out, the instrumented mode keeps one per request.
 	EventsEmitted, EventsDropped uint64
 	// SLOTicks counts burn-rate evaluation passes run during the load and
 	// SLOEvalCost their cumulative wall time (0 for the baseline, whose
@@ -48,32 +44,33 @@ type ObsOverheadPoint struct {
 	SLOEvalCost time.Duration
 }
 
-// runObsPoint drives the serving hot path once. Instrumented mode traces
-// every request (landing per-bucket latency exemplars), emits a wide
-// event per request into a log sampling ok outcomes 1-in-obsSampleEvery
-// with a JSON-lines sink attached, renders the OpenMetrics exposition
-// (exemplars included) every millisecond for the duration — orders of
-// magnitude more often than any real scraper, but still paced: an unpaced
-// busy loop would measure CPU theft by the scraper goroutine, not
-// instrumentation cost on the request path — and runs a live SLO
-// burn-rate evaluator (availability + latency objectives polling the
-// serving registry every 10ms, 100x a production cadence) with an armed
-// flight recorder behind it. The baseline disables tracing and event
-// logging (the metric counters themselves are always on: they are single
-// atomics and cannot be unwired).
+// runObsPoint drives the serving hot path once. Instrumented mode records
+// every request (a trace ID, a per-bucket latency exemplar, and a wide
+// event into the ring), as `eigenpro serve` does at its default
+// -log-every 1, with a JSON-lines sink attached at warn level (mirroring
+// every ok event too would measure JSON encoding, not the request path),
+// renders the OpenMetrics exposition (exemplars included) every
+// millisecond for the duration — orders of magnitude more often than any
+// real scraper, but still paced: an unpaced busy loop would measure CPU
+// theft by the scraper goroutine, not instrumentation cost on the request
+// path — and runs a live SLO burn-rate evaluator (availability + latency
+// objectives polling the serving registry every 10ms, 100x a production
+// cadence) with an armed flight recorder behind it. The baseline records
+// no ok request (the metric counters themselves are always on: they are
+// single atomics and cannot be unwired).
 func runObsPoint(m *core.Model, clients, perClient int, instrumented bool) (ObsOverheadPoint, error) {
 	cfg := serve.Config{
 		QueueDepth: clients*perClient + 1,
 		Workers:    1,
 		MaxLatency: time.Millisecond,
 		Timeout:    -1,
-		TraceEvery: -1,
+		Events:     obs.NewEventLog(0),
 	}
 	if instrumented {
-		cfg.TraceEvery = 1
-		cfg.Events = obs.NewEventLog(0)
-		cfg.Events.SetSampleEvery(obsSampleEvery)
-		cfg.Events.SetSink(io.Discard, obs.LevelInfo)
+		cfg.Events.SetSampleEvery(1)
+		cfg.Events.SetSink(io.Discard, obs.LevelWarn)
+	} else {
+		cfg.Events.SetSampleEvery(-1)
 	}
 	s := serve.New(cfg)
 	defer s.Close()
@@ -237,15 +234,16 @@ func ObsOverhead(scale Scale) (*Report, error) {
 			best = ov
 		}
 		rep.AddRow(fmt.Sprint(i/2+1), "baseline", fmt.Sprint(base.Requests),
-			fmt.Sprintf("%.0f", base.WallThroughput), "0", "0", "0", "", "")
+			fmt.Sprintf("%.0f", base.WallThroughput), "0",
+			fmt.Sprint(base.EventsEmitted), fmt.Sprint(base.EventsDropped), "", "")
 		rep.AddRow(fmt.Sprint(i/2+1), "instrumented", fmt.Sprint(inst.Requests),
 			fmt.Sprintf("%.0f", inst.WallThroughput), fmt.Sprint(inst.Scrapes),
 			fmt.Sprint(inst.EventsEmitted), fmt.Sprint(inst.EventsDropped),
 			fmtEvalPerTick(inst), fmtPct(ov))
 	}
 	rep.AddNote("best-of-%d overhead: %s (acceptance bound: < 5%%)", len(points)/2, fmtPct(best))
-	rep.AddNote("baseline disables tracing and event logging; counters/histograms are lock-free atomics and always on")
-	rep.AddNote("instrumented mode samples ok events 1-in-%d (head+tail: warn/error always kept); dropped counts the sampled-out", obsSampleEvery)
+	rep.AddNote("baseline records no ok request (-log-every -1); counters/histograms are lock-free atomics and always on")
+	rep.AddNote("instrumented mode records every request (-log-every 1, the serve default); dropped counts the sampled-out")
 	rep.AddNote("slo eval/tick is the wall cost of one burn-rate pass (availability + latency objectives at a 10ms cadence, 100x production)")
 	return rep, nil
 }

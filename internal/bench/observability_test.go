@@ -2,11 +2,11 @@ package bench
 
 import "testing"
 
-// TestObsOverheadUnder5Percent checks the PR's acceptance criterion: full
-// instrumentation (every request traced with exemplars, a wide event per
-// request, OpenMetrics scraped continuously, SLO burn rates evaluated at
-// a 10ms cadence with an armed flight recorder) must cost the serving hot
-// path less than 5% wall throughput. Wall-clock noise dwarfs an overhead
+// TestObsOverheadUnder5Percent checks the acceptance criterion: full
+// instrumentation (every request recorded with a trace ID, an exemplar and
+// a wide event, a sink attached, OpenMetrics scraped continuously, SLO
+// burn rates evaluated at a 10ms cadence with an armed flight recorder)
+// must cost the serving hot path less than 5% wall throughput. Wall-clock noise dwarfs an overhead
 // this small, so the study measures several (baseline, instrumented)
 // pairs and the best pair decides — a systematic regression past 5%
 // fails every pair, while scheduler jitter does not.
@@ -33,15 +33,11 @@ func TestObsOverheadUnder5Percent(t *testing.T) {
 		if inst.Scrapes == 0 {
 			t.Fatalf("instrumented run never scraped /metrics")
 		}
-		if base.EventsEmitted != 0 || base.EventsDropped != 0 {
-			t.Fatalf("baseline run emitted events: %+v", base)
+		if base.EventsEmitted != 0 || base.EventsDropped != uint64(base.Requests) {
+			t.Fatalf("baseline run recorded requests: %+v", base)
 		}
-		if inst.EventsEmitted == 0 {
-			t.Fatalf("instrumented run kept no wide events: %+v", inst)
-		}
-		if inst.EventsDropped == 0 {
-			t.Fatalf("instrumented run dropped no events: 1-in-%d ok sampling inactive: %+v",
-				obsSampleEvery, inst)
+		if inst.EventsEmitted < uint64(inst.Requests) || inst.EventsDropped != 0 {
+			t.Fatalf("instrumented run left requests unrecorded: %+v", inst)
 		}
 		if base.SLOTicks != 0 {
 			t.Fatalf("baseline run evaluated SLOs: %+v", base)

@@ -9,6 +9,7 @@ import (
 
 	"eigenpro/internal/core"
 	"eigenpro/internal/data"
+	"eigenpro/internal/obs"
 	"eigenpro/internal/serve"
 )
 
@@ -54,6 +55,8 @@ type OverloadPoint struct {
 // queued: the request still enters the queue as a corpse the batcher must
 // reap without diluting occupancy or charging device time.
 func runOverloadPoint(m *core.Model, mmax, clients, perClient, cancelEvery int, shed bool, timeout time.Duration) (OverloadPoint, error) {
+	events := obs.NewEventLog(0)
+	events.SetSampleEvery(-1) // record no ok request
 	s := serve.New(serve.Config{
 		MaxBatch: mmax,
 		// One worker models one device, as in the serving study.
@@ -62,7 +65,7 @@ func runOverloadPoint(m *core.Model, mmax, clients, perClient, cancelEvery int, 
 		QueueDepth: 4 * clients,
 		Timeout:    timeout,
 		Shed:       shed,
-		TraceEvery: -1,
+		Events:     events,
 	})
 	defer s.Close()
 	if err := s.Register("m", m); err != nil {

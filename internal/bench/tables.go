@@ -118,7 +118,7 @@ func Table2(scale Scale) (*Report, error) {
 		rep.AddRow(wl.name, "falkon", fmtPct(errFK), fmtDur(fk.SimTime), fmtDur(fk.WallTime),
 			fmt.Sprintf("M=%d iters=%d", centers, fk.Iters))
 	}
-	rep.AddNote("datasets are scaled synthetics (%s scale); see DESIGN.md §2", scale)
+	rep.AddNote("datasets are scaled synthetics (%s scale)", scale)
 	return rep, nil
 }
 

@@ -75,9 +75,9 @@ func ObserveTraining(reg *obs.Registry, base EpochStats, labels ...obs.Label) fu
 // epoch, its ending train MSE, and the epoch's wall-clock and
 // simulated-device-busy durations as deltas. base plays the same role as
 // in ObserveTraining — a resumed trainer's cumulative totals, so the
-// first logged epoch reports only its own work. Epoch events carry no
-// Outcome, so the log's 1-in-N ok sampling never discards them.
-func LogTraining(log *obs.EventLog, job string, base EpochStats) func(EpochStats) {
+// first logged epoch reports only its own work, and traceID (may be "")
+// files each event under the job's trace at /debug/traces.
+func LogTraining(log *obs.EventLog, job, traceID string, base EpochStats) func(EpochStats) {
 	if log == nil {
 		return func(EpochStats) {}
 	}
@@ -87,6 +87,7 @@ func LogTraining(log *obs.EventLog, job string, base EpochStats) func(EpochStats
 			Level:      obs.LevelInfo,
 			Kind:       obs.KindTrainEpoch,
 			Job:        job,
+			TraceID:    traceID,
 			Epoch:      st.Epoch,
 			MSE:        st.TrainMSE,
 			Wall:       st.Wall - last.Wall,

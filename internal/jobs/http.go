@@ -59,7 +59,7 @@ func NewHandler(m *Manager) http.Handler {
 		handleJob(m, w, r)
 	})
 	mux.Handle("/metrics", obs.MetricsHandler(m.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(m.Tracer()))
+	mux.Handle("/debug/traces", obs.TracesHandler(m.Events()))
 	mux.Handle("/debug/events", obs.EventsHandler(m.Events()))
 	mux.Handle("/debug/slo", slo.Handler(m.SLO()))
 	mux.Handle("/debug/flight", obs.FlightHandler(m.Flight()))

@@ -71,13 +71,13 @@ type Config struct {
 	// via Manager.Metrics). Pass a serving Server's registry to expose
 	// everything from one /metrics endpoint.
 	Metrics *obs.Registry
-	// Tracer records one span trace per job (submit → queue → epoch[k] →
-	// checkpoint/register); nil creates a private tracer.
-	Tracer *obs.Tracer
 	// Events receives one wide obs.Event per job lifecycle transition
 	// (kind "job.state") and per completed training epoch (kind
-	// "train.epoch"). nil disables event logging. Pass a serving Server's
-	// event log to read the whole system's history from one /debug/events.
+	// "train.epoch"), all carrying the job's trace ID: together they are
+	// the job's record, read as a span trace (submit → queue → epoch[k] →
+	// checkpoint/register) at /debug/traces. nil creates a private log.
+	// Pass a serving Server's event log to read the whole system's history
+	// from one /debug/events.
 	Events *obs.EventLog
 	// SLO is the burn-rate evaluator judging this manager's telemetry
 	// (typically a training_progress objective reading the shared event
@@ -199,9 +199,8 @@ type job struct {
 	spec Spec
 	info Info
 
-	// tr is the job's lifecycle trace; enq is when the job last entered
-	// the queue (submit or resume), the start of its "queue" span.
-	tr  *obs.Trace
+	// enq is when the job last entered the queue (submit or resume), the
+	// start of the wait its running transition reports.
 	enq time.Time
 
 	// cancelRequested is latched by Cancel; cancelCh wakes the running
@@ -293,8 +292,8 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
+	if cfg.Events == nil {
+		cfg.Events = obs.NewEventLog(0)
 	}
 	m := &Manager{
 		cfg:   cfg,
@@ -350,10 +349,9 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		name = id
 	}
 	now := time.Now()
-	tr := m.cfg.Tracer.Start("job:" + id)
+	traceID := obs.NewTraceID()
 	j := &job{
 		spec:     spec,
-		tr:       tr,
 		enq:      now,
 		cancelCh: make(chan struct{}),
 		info: Info{
@@ -362,7 +360,7 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 			State:     StateQueued,
 			Epochs:    spec.Config.Epochs,
 			Submitted: now,
-			TraceID:   tr.ID(),
+			TraceID:   traceID,
 		},
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -384,39 +382,31 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	// may precede "submitted" in the journal.
 	if m.store != nil {
 		if err := m.store.saveSpec(id, spec); err != nil {
-			m.persistFailure(id, tr.ID(), fmt.Errorf("save spec: %w", err))
+			m.persistFailure(id, traceID, fmt.Errorf("save spec: %w", err))
 		}
-		m.journal(journalRecord{Type: recSubmitted, Job: id, Name: name}, id, tr.ID())
+		m.journal(journalRecord{Type: recSubmitted, Job: id, Name: name}, traceID)
 	}
 	m.mu.Unlock()
-	tr.Span("submit", now, time.Now())
 	m.submitted.Inc()
-	m.stateEvent(obs.LevelInfo, id, tr.ID(), StateQueued, "")
+	end := time.Now()
+	m.stateEvent(id, traceID, StateQueued, obs.Event{Time: end, Wall: end.Sub(now)})
 	return id, nil
 }
 
-// stateEvent emits one job.state wide event for a lifecycle transition
-// (no-op with a nil Config.Events). The new state is the event's Outcome,
-// so /debug/events?outcome=failed surfaces failed jobs the same way
-// outcome=shed surfaces shed requests.
-func (m *Manager) stateEvent(level obs.Level, id, traceID string, state State, errText string) {
-	if m.cfg.Events == nil {
-		return
-	}
-	m.cfg.Events.Emit(obs.Event{
-		Level:   level,
-		Kind:    obs.KindJobState,
-		Job:     id,
-		Outcome: string(state),
-		TraceID: traceID,
-		Err:     errText,
-	})
+// stateEvent emits one job.state wide event for a lifecycle transition.
+// The new state is the event's Outcome, so /debug/events?outcome=failed
+// surfaces failed jobs the same way outcome=shed surfaces shed requests.
+// ev supplies the level, the error text, and the timing of the phase the
+// transition ends (see obs.TraceView).
+func (m *Manager) stateEvent(id, traceID string, state State, ev obs.Event) {
+	ev.Kind, ev.Job, ev.Outcome, ev.TraceID = obs.KindJobState, id, string(state), traceID
+	m.cfg.Events.Emit(ev)
 }
 
 // jobStateEvent is stateEvent reading the id and trace from the job
 // record (both are immutable after Submit publishes the job).
-func (m *Manager) jobStateEvent(level obs.Level, j *job, state State, errText string) {
-	m.stateEvent(level, j.info.ID, j.tr.ID(), state, errText)
+func (m *Manager) jobStateEvent(j *job, state State, ev obs.Event) {
+	m.stateEvent(j.info.ID, j.info.TraceID, state, ev)
 }
 
 // Job returns a snapshot of the job's status.
@@ -473,8 +463,8 @@ func (m *Manager) Cancel(id string) error {
 		j.cancelRequested = true
 		j.info.State = StateCancelled
 		m.cancelled.Inc()
-		m.jobStateEvent(obs.LevelWarn, j, StateCancelled, "")
-		m.journal(journalRecord{Type: recCancelled, Job: id}, id, j.tr.ID())
+		m.jobStateEvent(j, StateCancelled, obs.Event{Level: obs.LevelWarn})
+		m.journal(journalRecord{Type: recCancelled, Job: id}, j.info.TraceID)
 		j.cond.Broadcast()
 		return nil
 	case StateRunning:
@@ -520,8 +510,8 @@ func (m *Manager) Resume(id string) error {
 	j.info.State = StateQueued
 	j.info.Resumes++
 	m.resumed.Inc()
-	m.jobStateEvent(obs.LevelInfo, j, StateQueued, "")
-	m.journal(journalRecord{Type: recResumed, Job: id}, id, j.tr.ID())
+	m.jobStateEvent(j, StateQueued, obs.Event{})
+	m.journal(journalRecord{Type: recResumed, Job: id}, j.info.TraceID)
 	j.cond.Broadcast()
 	return nil
 }
@@ -570,9 +560,9 @@ func (m *Manager) Delete(id string) error {
 	core.UnobserveTraining(m.cfg.Metrics, obs.L("job", id))
 	if m.store != nil {
 		if err := m.store.removeJob(id); err != nil {
-			m.persistFailure(id, j.tr.ID(), fmt.Errorf("remove artifacts: %w", err))
+			m.persistFailure(id, j.info.TraceID, fmt.Errorf("remove artifacts: %w", err))
 		}
-		m.journal(journalRecord{Type: recDeleted, Job: id}, id, j.tr.ID())
+		m.journal(journalRecord{Type: recDeleted, Job: id}, j.info.TraceID)
 	}
 	return nil
 }
@@ -602,12 +592,12 @@ func (m *Manager) Close() {
 				}
 			})
 			if cancelled {
-				m.jobStateEvent(obs.LevelWarn, j, StateCancelled, "")
+				m.jobStateEvent(j, StateCancelled, obs.Event{Level: obs.LevelWarn})
 				// Journaled as interrupted, not cancelled: shutdown is the
 				// system's choice, so a restarted manager re-enqueues the
 				// job instead of waiting for a manual resume.
 				snap := j.snapshot()
-				m.journal(journalRecord{Type: recInterrupted, Job: snap.ID, Epoch: snap.Epoch}, snap.ID, snap.TraceID)
+				m.journal(journalRecord{Type: recInterrupted, Job: snap.ID, Epoch: snap.Epoch}, snap.TraceID)
 			}
 		default:
 			if m.store != nil {
@@ -652,18 +642,19 @@ func (m *Manager) run(j *job) {
 		// Cancelled while queued (or marked by Close); nothing to run.
 		if j.info.State == StateQueued {
 			j.info.State = StateCancelled
-			m.jobStateEvent(obs.LevelWarn, j, StateCancelled, "")
-			m.journal(journalRecord{Type: recCancelled, Job: j.info.ID}, j.info.ID, j.tr.ID())
+			m.jobStateEvent(j, StateCancelled, obs.Event{Level: obs.LevelWarn})
+			m.journal(journalRecord{Type: recCancelled, Job: j.info.ID}, j.info.TraceID)
 		}
 		j.cond.Broadcast()
 		j.mu.Unlock()
 		return
 	}
 	j.info.State = StateRunning
-	m.jobStateEvent(obs.LevelInfo, j, StateRunning, "")
-	m.journal(journalRecord{Type: recStarted, Job: j.info.ID}, j.info.ID, j.tr.ID())
+	now := time.Now()
+	m.jobStateEvent(j, StateRunning, obs.Event{Time: now, QueueWait: now.Sub(j.enq)})
+	m.journal(journalRecord{Type: recStarted, Job: j.info.ID}, j.info.TraceID)
 	if j.info.Started.IsZero() {
-		j.info.Started = time.Now()
+		j.info.Started = now
 	}
 	// A prior cancellation may have left a checkpoint-failure note; this
 	// run gets a clean slate.
@@ -672,7 +663,6 @@ func (m *Manager) run(j *job) {
 	spec := j.spec
 	snapshot := j.checkpoint
 	cancelCh := j.cancelCh
-	j.tr.Span("queue", j.enq, time.Now())
 	j.cond.Broadcast()
 	j.mu.Unlock()
 
@@ -696,17 +686,15 @@ func (m *Manager) run(j *job) {
 	// them, on the same stats.
 	onEpoch := core.ChainEpochHooks(
 		core.ObserveTraining(m.cfg.Metrics, core.ObserveTrainingBase(t.Result()), obs.L("job", id)),
-		core.LogTraining(m.cfg.Events, id, core.ObserveTrainingBase(t.Result())),
+		core.LogTraining(m.cfg.Events, id, j.info.TraceID, core.ObserveTrainingBase(t.Result())),
 		spec.Config.OnEpoch,
 	)
 	for !t.Done() {
-		epochStart := time.Now()
 		stats, err := t.Step()
 		if err != nil {
 			m.fail(j, err)
 			return
 		}
-		j.tr.Span(fmt.Sprintf("epoch[%d]", stats.Epoch), epochStart, time.Now())
 		onEpoch(stats)
 		j.set(func(i *Info) {
 			i.Epoch = stats.Epoch
@@ -729,9 +717,9 @@ func (m *Manager) run(j *job) {
 		// progress discoverable at recovery.
 		if m.store != nil && stats.Epoch%m.cfg.CheckpointEvery == 0 {
 			if err := m.store.saveCheckpoint(id, t); err != nil {
-				m.persistFailure(id, j.tr.ID(), fmt.Errorf("epoch %d checkpoint: %w", stats.Epoch, err))
+				m.persistFailure(id, j.info.TraceID, fmt.Errorf("epoch %d checkpoint: %w", stats.Epoch, err))
 			} else {
-				m.journal(journalRecord{Type: recEpoch, Job: id, Epoch: stats.Epoch, Checkpoint: true}, id, j.tr.ID())
+				m.journal(journalRecord{Type: recEpoch, Job: id, Epoch: stats.Epoch, Checkpoint: true}, j.info.TraceID)
 			}
 		}
 		select {
@@ -759,18 +747,21 @@ func (m *Manager) run(j *job) {
 	modelDurable := false
 	if m.store != nil {
 		if err := m.store.saveModel(id, res.Model); err != nil {
-			m.persistFailure(id, j.tr.ID(), fmt.Errorf("save model: %w", err))
+			m.persistFailure(id, j.info.TraceID, fmt.Errorf("save model: %w", err))
 		} else {
 			modelDurable = true
 		}
 	}
+	// The done transition reports the registration time in Wall.
+	var done obs.Event
 	if m.cfg.Registrar != nil {
 		regStart := time.Now()
 		if err := m.cfg.Registrar.Register(name, res.Model); err != nil {
 			m.fail(j, fmt.Errorf("jobs: register model %q: %w", name, err))
 			return
 		}
-		j.tr.Span("register", regStart, time.Now())
+		done.Time = time.Now()
+		done.Wall = done.Time.Sub(regStart)
 	}
 	m.completed.Inc()
 	j.set(func(i *Info) {
@@ -779,9 +770,9 @@ func (m *Manager) run(j *job) {
 		i.Servable = m.cfg.Registrar != nil
 		i.Checkpointed = false
 	})
-	m.jobStateEvent(obs.LevelInfo, j, StateDone, "")
+	m.jobStateEvent(j, StateDone, done)
 	if modelDurable {
-		m.journal(journalRecord{Type: recDone, Job: id, Epoch: res.Epochs}, id, j.tr.ID())
+		m.journal(journalRecord{Type: recDone, Job: id, Epoch: res.Epochs}, j.info.TraceID)
 	}
 }
 
@@ -793,7 +784,7 @@ func (m *Manager) park(j *job, t *core.Trainer, interrupted bool) {
 	ckptStart := time.Now()
 	var buf bytes.Buffer
 	err := t.Checkpoint(&buf)
-	j.tr.Span("checkpoint", ckptStart, time.Now())
+	ckptEnd := time.Now()
 	m.cancelled.Inc()
 	j.mu.Lock()
 	if err == nil {
@@ -813,11 +804,13 @@ func (m *Manager) park(j *job, t *core.Trainer, interrupted bool) {
 	ckpt := j.info.Checkpointed
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	m.jobStateEvent(obs.LevelWarn, j, StateCancelled, errText)
+	m.jobStateEvent(j, StateCancelled, obs.Event{
+		Level: obs.LevelWarn, Time: ckptEnd, Wall: ckptEnd.Sub(ckptStart), Err: errText,
+	})
 	if m.store != nil {
 		if ckpt {
 			if serr := m.store.saveCheckpointBytes(id, buf.Bytes()); serr != nil {
-				m.persistFailure(id, j.tr.ID(), fmt.Errorf("park checkpoint: %w", serr))
+				m.persistFailure(id, j.info.TraceID, fmt.Errorf("park checkpoint: %w", serr))
 				ckpt = false
 			}
 		}
@@ -825,7 +818,7 @@ func (m *Manager) park(j *job, t *core.Trainer, interrupted bool) {
 		if interrupted {
 			typ = recInterrupted
 		}
-		m.journal(journalRecord{Type: typ, Job: id, Epoch: epoch, Checkpoint: ckpt, Error: errText}, id, j.tr.ID())
+		m.journal(journalRecord{Type: typ, Job: id, Epoch: epoch, Checkpoint: ckpt, Error: errText}, j.info.TraceID)
 	}
 }
 
@@ -837,7 +830,7 @@ func (m *Manager) fail(j *job, err error) {
 		i.Error = err.Error()
 		i.Finished = time.Now()
 	})
-	m.jobStateEvent(obs.LevelError, j, StateFailed, err.Error())
+	m.jobStateEvent(j, StateFailed, obs.Event{Level: obs.LevelError, Err: err.Error()})
 	snap := j.snapshot()
-	m.journal(journalRecord{Type: recFailed, Job: snap.ID, Epoch: snap.Epoch, Error: snap.Error}, snap.ID, snap.TraceID)
+	m.journal(journalRecord{Type: recFailed, Job: snap.ID, Epoch: snap.Epoch, Error: snap.Error}, snap.TraceID)
 }

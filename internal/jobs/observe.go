@@ -89,11 +89,7 @@ func (m *Manager) countState(s State) int {
 // Metrics returns the registry the manager's telemetry registers into.
 func (m *Manager) Metrics() *obs.Registry { return m.cfg.Metrics }
 
-// Tracer returns the span ring recording job lifecycle traces.
-func (m *Manager) Tracer() *obs.Tracer { return m.cfg.Tracer }
-
-// Events returns the wide-event log, or nil when Config.Events was nil
-// (event logging disabled).
+// Events returns the wide-event log recording the jobs' lifecycles.
 func (m *Manager) Events() *obs.EventLog { return m.cfg.Events }
 
 // SLO returns the burn-rate evaluator, or nil when Config.SLO was nil

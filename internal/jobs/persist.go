@@ -82,13 +82,13 @@ type journalRecord struct {
 // journal appends one record to the WAL; a persistence failure is
 // tolerated (the in-memory lifecycle proceeds) but counted and surfaced.
 // No-op outside persistent mode, so call sites need no guards.
-func (m *Manager) journal(rec journalRecord, id, traceID string) {
+func (m *Manager) journal(rec journalRecord, traceID string) {
 	if m.store == nil {
 		return
 	}
 	rec.At = time.Now()
 	if err := m.store.record(rec); err != nil {
-		m.persistFailure(id, traceID, fmt.Errorf("journal %s: %w", rec.Type, err))
+		m.persistFailure(rec.Job, traceID, fmt.Errorf("journal %s: %w", rec.Type, err))
 	}
 }
 
@@ -97,15 +97,13 @@ func (m *Manager) journal(rec journalRecord, id, traceID string) {
 // the job keeps running, the operator sees the gap.
 func (m *Manager) persistFailure(id, traceID string, err error) {
 	m.persistErrors.Inc()
-	if m.cfg.Events != nil {
-		m.cfg.Events.Emit(obs.Event{
-			Level:   obs.LevelError,
-			Kind:    obs.KindDurableError,
-			Job:     id,
-			TraceID: traceID,
-			Err:     err.Error(),
-		})
-	}
+	m.cfg.Events.Emit(obs.Event{
+		Level:   obs.LevelError,
+		Kind:    obs.KindDurableError,
+		Job:     id,
+		TraceID: traceID,
+		Err:     err.Error(),
+	})
 }
 
 // Recovered returns how many jobs this manager restored from the journal
@@ -383,7 +381,6 @@ type folded struct {
 // queue channel until the pool spins up; no lock ordering issues exist
 // yet, but the manager lock is still taken where invariants expect it.
 func (m *Manager) recover(replay durable.Replay) {
-	tr := m.cfg.Tracer.Start("recovery")
 	foldStart := time.Now()
 	byJob := make(map[string]*folded)
 	var order []string
@@ -392,7 +389,7 @@ func (m *Manager) recover(replay durable.Replay) {
 		if err := json.Unmarshal(raw, &rec); err != nil || rec.Job == "" {
 			// The checksum passed but the payload is not one of ours —
 			// a foreign or version-drifted record. Skip, surface.
-			m.persistFailure("", tr.ID(), fmt.Errorf("recovery: unintelligible journal record %.80q", raw))
+			m.persistFailure("", "", fmt.Errorf("recovery: unintelligible journal record %.80q", raw))
 			continue
 		}
 		f := byJob[rec.Job]
@@ -412,9 +409,9 @@ func (m *Manager) recover(replay durable.Replay) {
 		}
 		f.last = rec
 	}
-	tr.Span("journal-replay", foldStart, time.Now())
+	replayTime := time.Since(foldStart)
 	if replay.Corrupt > 0 || replay.TruncatedTail {
-		m.persistFailure("", tr.ID(), fmt.Errorf(
+		m.persistFailure("", "", fmt.Errorf(
 			"recovery: journal damage survived: %d corrupt record(s), truncated tail %v",
 			replay.Corrupt, replay.TruncatedTail))
 	}
@@ -426,7 +423,7 @@ func (m *Manager) recover(replay durable.Replay) {
 		if n := idSeq(id); n > m.seq {
 			m.seq = n
 		}
-		m.recoverJob(id, f, tr)
+		m.recoverJob(id, f, replayTime)
 	}
 }
 
@@ -444,16 +441,16 @@ func idSeq(id string) int {
 // terminal states are restored as records (done additionally reloads and
 // re-registers its model), anything in flight — submitted, started,
 // mid-epoch, interrupted by shutdown — is re-enqueued to continue from
-// its newest verified checkpoint.
-func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
+// its newest verified checkpoint. The job.recovered event reports the
+// journal replay that preceded it (QueueWait) and its own recovery (Wall).
+func (m *Manager) recoverJob(id string, f *folded, replay time.Duration) {
 	start := time.Now()
 	name := f.name
 	if name == "" {
 		name = id
 	}
-	tr := m.cfg.Tracer.Start("job:" + id)
+	traceID := obs.NewTraceID()
 	j := &job{
-		tr:       tr,
 		cancelCh: make(chan struct{}),
 		info: Info{
 			ID:        id,
@@ -463,7 +460,7 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 			Submitted: f.submitted,
 			Resumes:   f.resumes,
 			Recovered: true,
-			TraceID:   tr.ID(),
+			TraceID:   traceID,
 		},
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -517,7 +514,7 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 			// restart): leave the job cancelled-with-checkpoint so a
 			// manual resume can still continue it.
 			j.info.State = StateCancelled
-			m.persistFailure(id, tr.ID(), errors.New("recovery: queue full, job left cancelled"))
+			m.persistFailure(id, traceID, errors.New("recovery: queue full, job left cancelled"))
 		}
 	}
 
@@ -528,22 +525,25 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 	m.mu.Unlock()
 	m.recovered.Inc()
 	snap := j.snapshot()
-	if m.cfg.Events != nil {
-		m.cfg.Events.Emit(obs.Event{
-			Level:   obs.LevelInfo,
-			Kind:    obs.KindJobRecovered,
-			Job:     id,
-			Outcome: string(snap.State),
-			TraceID: tr.ID(),
-			Epoch:   snap.Epoch,
-			Err:     snap.Error,
-		})
-	}
 	if requeued {
-		m.journal(journalRecord{Type: recResumed, Job: id, Epoch: snap.Epoch, Checkpoint: snap.Checkpointed}, id, tr.ID())
-		m.stateEvent(obs.LevelInfo, id, tr.ID(), StateQueued, "")
+		m.journal(journalRecord{Type: recResumed, Job: id, Epoch: snap.Epoch, Checkpoint: snap.Checkpointed}, traceID)
 	}
-	rtr.Span("job:"+id, start, time.Now())
+	now := time.Now()
+	m.cfg.Events.Emit(obs.Event{
+		Time:      now,
+		Level:     obs.LevelInfo,
+		Kind:      obs.KindJobRecovered,
+		Job:       id,
+		Outcome:   string(snap.State),
+		TraceID:   traceID,
+		Epoch:     snap.Epoch,
+		QueueWait: replay,
+		Wall:      now.Sub(start),
+		Err:       snap.Error,
+	})
+	if requeued {
+		m.stateEvent(id, traceID, StateQueued, obs.Event{})
+	}
 }
 
 // recoverSpec loads the job's sealed spec; on failure the job is marked
@@ -572,7 +572,7 @@ func (m *Manager) recoverCheckpoint(j *job, id string) {
 	case os.IsNotExist(err):
 		// Never checkpointed; nothing to restore.
 	default:
-		m.persistFailure(id, j.tr.ID(), fmt.Errorf("recovery: checkpoint discarded: %w", err))
+		m.persistFailure(id, j.info.TraceID, fmt.Errorf("recovery: checkpoint discarded: %w", err))
 	}
 }
 
@@ -583,5 +583,5 @@ func (m *Manager) recoveryFail(j *job, err error) {
 	j.info.State = StateFailed
 	j.info.Error = err.Error()
 	j.info.Finished = time.Now()
-	m.persistFailure(j.info.ID, j.tr.ID(), err)
+	m.persistFailure(j.info.ID, j.info.TraceID, err)
 }

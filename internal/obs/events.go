@@ -110,8 +110,9 @@ type Event struct {
 	// Outcome is the terminal disposition: ok, rejected, shed, expired, or
 	// abandoned for requests; the new lifecycle state for job transitions.
 	Outcome string `json:"outcome,omitempty"`
-	// TraceID links the event to its span trace at /debug/traces and to
-	// the latency exemplar at /metrics ("" when the request was unsampled).
+	// TraceID groups the events of one request or job into its trace at
+	// /debug/traces and links them to the latency exemplar at /metrics (""
+	// when the sampler left the request unrecorded).
 	TraceID string `json:"trace_id,omitempty"`
 
 	// Rows is the number of data rows the request carried.
@@ -122,7 +123,9 @@ type Event struct {
 	// Occupancy is how many requests that micro-batch carried.
 	Occupancy int `json:"occupancy,omitempty"`
 	// QueueWait is enqueue → device-dispatch (or → terminal outcome for
-	// requests that never reached the device).
+	// requests that never reached the device); for a job's running
+	// transition, the time it waited queued; for job.recovered, the
+	// journal replay that preceded the job's recovery.
 	QueueWait time.Duration `json:"queue_wait_ns,omitempty"`
 	// DeviceTime is the wall time of the device execution that carried the
 	// request.
@@ -132,7 +135,8 @@ type Event struct {
 	// epoch: the 1-based epoch, its ending train MSE, the validation
 	// classification error (0 when no validation set is attached), and the
 	// epoch's wall-clock and simulated-device-busy durations (deltas, not
-	// cumulative).
+	// cumulative). On job.state and job.recovered events Wall is the work
+	// the transition ends: submit, register, checkpoint, or recovery.
 	Epoch      int           `json:"epoch,omitempty"`
 	MSE        float64       `json:"mse,omitempty"`
 	ValError   float64       `json:"val_error,omitempty"`
@@ -154,25 +158,31 @@ type Event struct {
 // claim plus an atomic pointer store, so logging a wide event per served
 // request cannot contend with the hot path or with concurrent queries.
 //
-// Sampling keeps the ring and sink useful under load: events whose Outcome
-// is "ok" at LevelInfo are kept 1-in-N (SetSampleEvery) while warnings and
-// errors — rejections, sheds, expiries, failures — are always kept, the
-// head+tail discipline that preserves exactly the records an incident
-// post-mortem needs. A nil *EventLog is valid and disables logging; every
-// method is a nil-safe no-op.
+// The log also owns the one sampler deciding which requests are recorded
+// (Sample): a sampled request gets a trace ID and its ok event, while
+// warnings and errors — rejections, sheds, expiries, failures — are always
+// kept, the head+tail discipline that preserves exactly the records an
+// incident post-mortem needs. Emit itself keeps everything it is given. A
+// nil *EventLog is valid and disables logging; every method is a nil-safe
+// no-op.
 type EventLog struct {
 	ring []atomic.Pointer[Event]
 	seq  atomic.Uint64 // next ring slot (total events retained-or-overwritten)
 
-	sampleEvery atomic.Int64 // keep 1-in-N ok events; <= 1 keeps all
-	okSeq       atomic.Uint64
-	dropped     atomic.Uint64 // ok events discarded by sampling
+	sampleEvery atomic.Int64 // record 1-in-N requests; 0 and 1 record all, < 0 none
+	sampleSeq   atomic.Uint64
+	dropped     atomic.Uint64 // ok outcomes the sampler left unrecorded
 	emitted     atomic.Uint64 // events accepted into the ring
 
-	sinkMu   sync.Mutex
-	sink     io.Writer
-	sinkMin  Level
+	sink     atomic.Pointer[eventSink] // nil when detached
+	sinkMu   sync.Mutex                // serializes sink writes and SetSink
 	sinkErrs atomic.Uint64
+}
+
+// eventSink is an attached JSON-lines mirror and its minimum level.
+type eventSink struct {
+	w   io.Writer
+	min Level
 }
 
 // NewEventLog returns an event log retaining the newest capacity events
@@ -186,36 +196,63 @@ func NewEventLog(capacity int) *EventLog {
 	return l
 }
 
-// SetSampleEvery keeps 1-in-n LevelInfo events with Outcome "ok" (the
-// steady-state success records); n <= 1 keeps all. Warnings and errors are
-// never sampled out. Dropped events are counted (Dropped).
+// SetSampleEvery makes Sample record 1-in-n requests; n of 0 or 1 records
+// every request and n < 0 records none. Warnings and errors are kept
+// whatever the rate.
 func (l *EventLog) SetSampleEvery(n int) {
 	if l == nil {
 		return
 	}
-	if n < 1 {
-		n = 1
-	}
 	l.sampleEvery.Store(int64(n))
 }
 
-// SetSink mirrors every kept event at or above min to w as one JSON line
-// per event. Pass nil to detach. The sink write happens under a mutex off
-// the ring's lock-free path; a slow sink slows only emitters that pass the
-// sampling gate.
+// Sample is the log's one sampling decision, made once per request at
+// admission. It returns a fresh trace ID for a request to record — its ok
+// event is kept and carries the ID — or "" for one left unrecorded, whose
+// success the caller reports with Drop in place of the ok event.
+func (l *EventLog) Sample() string {
+	if l == nil {
+		return ""
+	}
+	switch n := l.sampleEvery.Load(); {
+	case n < 0:
+		return ""
+	case n > 1 && l.sampleSeq.Add(1)%uint64(n) != 1:
+		return ""
+	}
+	return NewTraceID()
+}
+
+// Drop counts one ok outcome of a request Sample left unrecorded: the
+// event it would have emitted. Refusals and failures are events of their
+// own, so they never count here.
+func (l *EventLog) Drop() {
+	if l == nil {
+		return
+	}
+	l.dropped.Add(1)
+}
+
+// SetSink mirrors every event at or above min to w as one JSON line per
+// event. Pass nil to detach; once SetSink returns, no write to the previous
+// sink is in progress or will start. Sink writes are serialized under a
+// mutex that an Emit takes only while a sink is attached.
 func (l *EventLog) SetSink(w io.Writer, min Level) {
 	if l == nil {
 		return
 	}
+	var s *eventSink
+	if w != nil {
+		s = &eventSink{w: w, min: min}
+	}
 	l.sinkMu.Lock()
-	l.sink = w
-	l.sinkMin = min
+	l.sink.Store(s)
 	l.sinkMu.Unlock()
 }
 
-// Emit records one event, stamping Time if unset. Sampled-out events are
-// counted and discarded; everything else lands in the ring (possibly
-// overwriting the oldest event) and, when a sink is attached, on the sink.
+// Emit records one event, stamping Time if unset: it lands in the ring
+// (possibly overwriting the oldest event) and, when a sink is attached, on
+// the sink.
 func (l *EventLog) Emit(ev Event) {
 	if l == nil {
 		return
@@ -223,28 +260,18 @@ func (l *EventLog) Emit(ev Event) {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
-	if ev.Level == LevelInfo && ev.Outcome == "ok" {
-		if n := l.sampleEvery.Load(); n > 1 && l.okSeq.Add(1)%uint64(n) != 1 {
-			l.dropped.Add(1)
-			return
-		}
-	}
 	l.emitted.Add(1)
 	slot := l.seq.Add(1) - 1
 	ev.Seq = slot + 1
 	l.ring[slot%uint64(len(l.ring))].Store(&ev)
-	l.sinkTo(&ev)
-}
-
-// sinkTo writes one event to the attached sink, if any.
-func (l *EventLog) sinkTo(ev *Event) {
-	l.sinkMu.Lock()
-	defer l.sinkMu.Unlock()
-	if l.sink == nil || ev.Level < l.sinkMin {
-		return
-	}
-	if err := json.NewEncoder(l.sink).Encode(ev); err != nil {
-		l.sinkErrs.Add(1)
+	if l.sink.Load() != nil {
+		l.sinkMu.Lock()
+		if s := l.sink.Load(); s != nil && ev.Level >= s.min {
+			if err := json.NewEncoder(s.w).Encode(&ev); err != nil {
+				l.sinkErrs.Add(1)
+			}
+		}
+		l.sinkMu.Unlock()
 	}
 }
 
@@ -285,7 +312,8 @@ func (l *EventLog) LastSeq() uint64 {
 	return l.seq.Load()
 }
 
-// Dropped returns how many ok events sampling discarded.
+// Dropped returns how many ok outcomes the sampler left unrecorded (see
+// Drop).
 func (l *EventLog) Dropped() uint64 {
 	if l == nil {
 		return 0
@@ -340,24 +368,30 @@ func (q EventQuery) matches(ev *Event) bool {
 // see an event twice or observe a slightly torn window, never a partial
 // event.
 func (l *EventLog) Query(q EventQuery) []Event {
+	var out []Event
+	l.scan(q, func(ev *Event) bool {
+		out = append(out, *ev)
+		return q.Limit <= 0 || len(out) < q.Limit
+	})
+	return out
+}
+
+// scan calls f on each retained event matching q, newest first, until f
+// returns false. The events are shared with the ring: f must not modify
+// them.
+func (l *EventLog) scan(q EventQuery, f func(*Event) bool) {
 	if l == nil {
-		return nil
+		return
 	}
 	seq := l.seq.Load()
 	n := uint64(len(l.ring))
 	if seq < n {
 		n = seq
 	}
-	var out []Event
 	for i := uint64(0); i < n; i++ {
 		ev := l.ring[(seq-1-i)%uint64(len(l.ring))].Load()
-		if ev == nil || !q.matches(ev) {
-			continue
-		}
-		out = append(out, *ev)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
+		if ev != nil && q.matches(ev) && !f(ev) {
+			return
 		}
 	}
-	return out
 }

@@ -85,35 +85,49 @@ func TestEventLogWraparound(t *testing.T) {
 func TestEventLogSampling(t *testing.T) {
 	l := NewEventLog(64)
 	l.SetSampleEvery(4)
+	recorded := 0
 	for i := 0; i < 40; i++ {
-		l.Emit(Event{Kind: KindServeRequest, Outcome: "ok"})
+		if id := l.Sample(); id != "" {
+			recorded++
+			l.Emit(Event{Kind: KindServeRequest, Outcome: "ok", TraceID: id})
+		} else {
+			l.Drop()
+		}
 	}
-	if got := l.Emitted(); got != 10 {
-		t.Fatalf("Emitted = %d, want 10 (1-in-4 of 40)", got)
+	if recorded != 10 || l.Emitted() != 10 {
+		t.Fatalf("recorded %d requests, emitted %d; want 10 (1-in-4 of 40)", recorded, l.Emitted())
 	}
 	if got := l.Dropped(); got != 30 {
 		t.Fatalf("Dropped = %d, want 30", got)
 	}
 
-	// Head+tail: warn/error and non-ok outcomes are never sampled out, and
-	// info events without an "ok" outcome (epoch records) are kept too.
+	// Head+tail: Emit keeps everything it is given — warnings, errors,
+	// epoch records, and ok transitions that no request sampler governs.
 	before := l.Emitted()
 	l.Emit(Event{Kind: KindServeRequest, Outcome: "shed", Level: LevelWarn})
 	l.Emit(Event{Kind: KindServeRequest, Outcome: "rejected", Level: LevelWarn})
 	l.Emit(Event{Kind: KindJobState, Outcome: "failed", Level: LevelError})
 	l.Emit(Event{Kind: KindTrainEpoch, Epoch: 1})
-	if got := l.Emitted() - before; got != 4 {
-		t.Fatalf("non-ok emissions kept %d of 4; sampling must not touch warnings, errors, or epoch records", got)
+	l.Emit(Event{Kind: KindSLOState, Outcome: "ok"})
+	if got := l.Emitted() - before; got != 5 {
+		t.Fatalf("Emit kept %d of 5; only the request sampler may leave records out", got)
 	}
 
-	// n <= 1 disables sampling.
-	l.SetSampleEvery(0)
-	before = l.Emitted()
-	for i := 0; i < 5; i++ {
-		l.Emit(Event{Kind: KindServeRequest, Outcome: "ok"})
+	// 0 and 1 record every request.
+	for _, n := range []int{0, 1} {
+		l.SetSampleEvery(n)
+		for i := 0; i < 5; i++ {
+			if l.Sample() == "" {
+				t.Fatalf("SetSampleEvery(%d) left a request unrecorded", n)
+			}
+		}
 	}
-	if got := l.Emitted() - before; got != 5 {
-		t.Fatalf("SetSampleEvery(0) kept %d of 5, want all", got)
+	// n < 0 records none.
+	l.SetSampleEvery(-1)
+	for i := 0; i < 5; i++ {
+		if id := l.Sample(); id != "" {
+			t.Fatalf("SetSampleEvery(-1) recorded a request (%q)", id)
+		}
 	}
 }
 
@@ -152,6 +166,24 @@ func TestEventLogSinkJSONLines(t *testing.T) {
 	}
 }
 
+// TestEventLogEmitWithoutSinkTakesNoLock pins the hot path every served
+// request takes: with no sink attached, Emit must not touch the sink mutex.
+func TestEventLogEmitWithoutSinkTakesNoLock(t *testing.T) {
+	l := NewEventLog(4)
+	l.sinkMu.Lock()
+	defer l.sinkMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		l.Emit(Event{Kind: KindServeRequest, Outcome: "ok"})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Emit with no sink attached blocked on the sink mutex")
+	}
+}
+
 func TestEventLevelJSONRoundTrip(t *testing.T) {
 	for _, l := range []Level{LevelInfo, LevelWarn, LevelError} {
 		b, err := json.Marshal(l)
@@ -181,6 +213,10 @@ func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	l.Emit(Event{Kind: KindServeRequest, Outcome: "ok"})
 	l.SetSampleEvery(4)
+	if id := l.Sample(); id != "" {
+		t.Fatalf("nil log sampled ID %q", id)
+	}
+	l.Drop()
 	l.SetSink(&bytes.Buffer{}, LevelInfo)
 	if l.Cap() != 0 || l.Len() != 0 || l.Emitted() != 0 || l.Dropped() != 0 {
 		t.Fatal("nil log counters must be zero")
@@ -229,12 +265,14 @@ func TestEventLogConcurrent(t *testing.T) {
 			defer wg.Done()
 			model := fmt.Sprintf("m%d", e)
 			for i := 0; i < perEmitter; i++ {
-				out := "ok"
-				lv := LevelInfo
+				ev := Event{Kind: KindServeRequest, Model: model, Outcome: "ok"}
 				if i%7 == 0 {
-					out, lv = "shed", LevelWarn
+					ev.Outcome, ev.Level = "shed", LevelWarn
+				} else if ev.TraceID = l.Sample(); ev.TraceID == "" {
+					l.Drop()
+					continue
 				}
-				l.Emit(Event{Kind: KindServeRequest, Model: model, Outcome: out, Level: lv})
+				l.Emit(ev)
 			}
 		}(e)
 	}

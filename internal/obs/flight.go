@@ -57,9 +57,6 @@ type FlightConfig struct {
 	// recorder emits its own flight.snapshot record into); nil skips the
 	// events file.
 	Events *EventLog
-	// Tracers are the span rings whose retained traces land in the
-	// snapshot.
-	Tracers []*Tracer
 	// Registries are rendered into the snapshot's metrics expositions
 	// (Go runtime telemetry rides along, as on /metrics).
 	Registries []*Registry
@@ -231,11 +228,7 @@ func (f *FlightRecorder) write(dir, reason string, at time.Time, meta map[string
 		}
 	}
 	if err := writeFileWith(filepath.Join(dir, "traces.json"), func(w io.Writer) error {
-		all := []TraceSnapshot{}
-		for _, t := range f.cfg.Tracers {
-			all = append(all, t.Snapshot()...)
-		}
-		return json.NewEncoder(w).Encode(map[string]any{"traces": all})
+		return json.NewEncoder(w).Encode(map[string]any{"traces": TraceView{f.cfg.Events}.Snapshot()})
 	}); err != nil {
 		problems["traces.json"] = err.Error()
 	}

@@ -10,19 +10,17 @@ import (
 	"time"
 )
 
-// flightFixture builds a recorder over a temp dir with an event log and a
-// tracer carrying known content, so snapshot files can be checked.
+// flightFixture builds a recorder over a temp dir with an event log
+// carrying known content (one request recorded under a trace ID), so
+// snapshot files can be checked.
 func flightFixture(t *testing.T, cfg FlightConfig) (*FlightRecorder, *EventLog) {
 	t.Helper()
 	log := NewEventLog(64)
-	log.Emit(Event{Kind: KindServeRequest, Model: "m", Outcome: "ok"})
-	tr := NewTracer(8)
-	tr.Start("flight-test-op")
+	log.Emit(okRequest("flight-test-op", time.Now(), time.Microsecond, time.Microsecond))
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
 	cfg.Events = log
-	cfg.Tracers = []*Tracer{tr}
 	cfg.Registries = []*Registry{NewRegistry()}
 	f, err := NewFlightRecorder(cfg)
 	if err != nil {

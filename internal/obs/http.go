@@ -54,22 +54,14 @@ func dedupRegistries(regs []*Registry) []*Registry {
 	return out
 }
 
-// TracesHandler serves the union of the given tracers' rings as JSON
-// ({"traces": [...]}, newest first, duplicate tracers written once).
-// Query parameters:
+// TracesHandler serves the traces the given event logs still retain (see
+// TraceView) as JSON ({"traces": [...]}, newest first, duplicate logs read
+// once). Query parameters:
 //
 //	?id=<trace_id>  return just that trace (404 when not retained)
 //	?limit=N        return at most the N newest traces
-func TracesHandler(tracers ...*Tracer) http.Handler {
-	seen := make(map[*Tracer]bool, len(tracers))
-	uniq := make([]*Tracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t == nil || seen[t] {
-			continue
-		}
-		seen[t] = true
-		uniq = append(uniq, t)
-	}
+func TracesHandler(logs ...*EventLog) http.Handler {
+	view := TraceView(dedupLogs(logs))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -77,39 +69,19 @@ func TracesHandler(tracers ...*Tracer) http.Handler {
 		}
 		q := r.URL.Query()
 		if id := q.Get("id"); id != "" {
-			for _, t := range uniq {
-				if snap, ok := t.Find(id); ok {
-					writeJSON(w, http.StatusOK, map[string]any{"traces": []TraceSnapshot{snap}})
-					return
-				}
+			if snap, ok := view.Find(id); ok {
+				writeJSON(w, http.StatusOK, map[string]any{"traces": []TraceSnapshot{snap}})
+				return
 			}
 			writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown trace id " + id})
 			return
 		}
-		all := []TraceSnapshot{}
-		for _, t := range uniq {
-			all = append(all, t.Snapshot()...)
-		}
-		// Each ring is newest-first; merging several needs a global sort to
-		// keep the limit meaningful.
-		if len(uniq) > 1 {
-			sortTracesNewestFirst(all)
-		}
+		all := view.Snapshot()
 		if limit, err := strconv.Atoi(q.Get("limit")); err == nil && limit >= 0 && limit < len(all) {
 			all = all[:limit]
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"traces": all})
 	})
-}
-
-// sortTracesNewestFirst orders snapshots by start time, newest first
-// (insertion sort: rings are small and mostly ordered already).
-func sortTracesNewestFirst(ts []TraceSnapshot) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Start.After(ts[j-1].Start); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // EventsHandler serves the union of the given event logs as JSON:
@@ -130,15 +102,7 @@ func sortTracesNewestFirst(ts []TraceSnapshot) {
 // Nil logs are skipped; with no live logs the payload is empty, so the
 // endpoint is safe to mount unconditionally.
 func EventsHandler(logs ...*EventLog) http.Handler {
-	seen := make(map[*EventLog]bool, len(logs))
-	uniq := make([]*EventLog, 0, len(logs))
-	for _, l := range logs {
-		if l == nil || seen[l] {
-			continue
-		}
-		seen[l] = true
-		uniq = append(uniq, l)
-	}
+	uniq := dedupLogs(logs)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)

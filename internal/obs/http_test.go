@@ -108,16 +108,16 @@ func TestRuntimeHistogramBuckets(t *testing.T) {
 }
 
 func TestTracesHandlerByID(t *testing.T) {
-	tc := NewTracer(4)
-	tr := tc.Start("http.predict")
-	tr.StartSpan("queue-wait")()
+	l := NewEventLog(8)
+	id := NewTraceID()
+	l.Emit(okRequest(id, time.Now(), time.Microsecond, time.Microsecond))
 	for i := 0; i < 3; i++ {
-		tc.Start("filler")
+		l.Emit(okRequest(NewTraceID(), time.Now(), time.Microsecond, time.Microsecond))
 	}
-	srv := httptest.NewServer(TracesHandler(tc))
+	srv := httptest.NewServer(TracesHandler(l))
 	defer srv.Close()
 
-	resp, err := srv.Client().Get(srv.URL + "?id=" + tr.ID())
+	resp, err := srv.Client().Get(srv.URL + "?id=" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTracesHandlerByID(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if len(body.Traces) != 1 || body.Traces[0].ID != tr.ID() {
+	if len(body.Traces) != 1 || body.Traces[0].ID != id {
 		t.Fatalf("?id= returned %+v", body.Traces)
 	}
 
@@ -155,11 +155,11 @@ func TestTracesHandlerByID(t *testing.T) {
 }
 
 func TestTracesHandlerLimit(t *testing.T) {
-	tc := NewTracer(8)
+	l := NewEventLog(8)
 	for i := 0; i < 5; i++ {
-		tc.Start("t")
+		l.Emit(okRequest(NewTraceID(), time.Now(), time.Microsecond, time.Microsecond))
 	}
-	srv := httptest.NewServer(TracesHandler(tc))
+	srv := httptest.NewServer(TracesHandler(l))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "?limit=2")
 	if err != nil {
@@ -178,10 +178,11 @@ func TestTracesHandlerLimit(t *testing.T) {
 }
 
 func TestTracesHandlerMergesTracers(t *testing.T) {
-	a, b := NewTracer(4), NewTracer(4)
-	a.Start("old-a")
-	b.Start("old-b")
-	newest := a.Start("newest")
+	a, b := NewEventLog(4), NewEventLog(4)
+	at := time.Now()
+	a.Emit(okRequest("old-a", at, time.Microsecond, time.Microsecond))
+	b.Emit(okRequest("old-b", at.Add(time.Millisecond), time.Microsecond, time.Microsecond))
+	a.Emit(okRequest("newest", at.Add(2*time.Millisecond), time.Microsecond, time.Microsecond))
 	srv := httptest.NewServer(TracesHandler(a, b))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "?limit=1")
@@ -195,8 +196,8 @@ func TestTracesHandlerMergesTracers(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if len(body.Traces) != 1 || body.Traces[0].ID != newest.ID() {
-		t.Fatalf("cross-tracer merge with limit=1 returned %+v, want the newest trace", body.Traces)
+	if len(body.Traces) != 1 || body.Traces[0].ID != "newest" {
+		t.Fatalf("cross-log merge with limit=1 returned %+v, want the newest trace", body.Traces)
 	}
 }
 

@@ -447,8 +447,8 @@ func (e *Evaluator) Tick(now time.Time) {
 }
 
 // drainEpochs reads train.epoch events emitted since the last tick,
-// oldest first. Epoch events carry no Outcome, so the log's 1-in-N ok
-// sampling never drops them out from under the cursor.
+// oldest first. The log's request sampler never governs epoch events,
+// so none is left out from under the cursor.
 func (e *Evaluator) drainEpochs() []obs.Event {
 	if e.cfg.Events == nil {
 		return nil

@@ -3,14 +3,11 @@ package obs
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
-
-// DefaultTraceCapacity is the trace-ring size when NewTracer is given a
-// non-positive capacity.
-const DefaultTraceCapacity = 256
 
 // Span is one named interval inside a trace.
 type Span struct {
@@ -22,46 +19,8 @@ type Span struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// Trace is one request's (or job's) recorded lifetime: an ID, a name,
-// and an append-only list of spans. All methods are nil-safe no-ops, so
-// instrumentation sites never branch on whether tracing is enabled.
-type Trace struct {
-	id    string
-	name  string
-	start time.Time
-
-	mu    sync.Mutex
-	spans []Span
-}
-
-// ID returns the trace's hex ID ("" for a nil trace).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
-// Span records a completed interval.
-func (t *Trace) Span(name string, start, end time.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Start: start, Duration: end.Sub(start)})
-	t.mu.Unlock()
-}
-
-// StartSpan opens an interval now and returns the closer that records it.
-func (t *Trace) StartSpan(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Span(name, start, time.Now()) }
-}
-
-// TraceSnapshot is a point-in-time copy of one trace for /debug/traces.
+// TraceSnapshot is one request's (or job's) recorded lifetime as
+// /debug/traces serves it: an ID, a name, and its spans in start order.
 type TraceSnapshot struct {
 	ID    string    `json:"id"`
 	Name  string    `json:"name"`
@@ -69,160 +28,188 @@ type TraceSnapshot struct {
 	Spans []Span    `json:"spans"`
 }
 
-// Tracer hands out traces and retains the most recent ones in a bounded
-// ring: the newest Cap() traces are readable, older ones are overwritten.
-// A nil Tracer is valid and disables tracing (Start returns nil).
-type Tracer struct {
-	mu   sync.Mutex
-	ring []*Trace
-	next int // ring write index
-	n    int // live entries (ring warm-up)
-}
+// TraceView reads span traces out of wide-event logs. It holds no records
+// of its own: the events sharing a trace ID form one trace, and every span
+// is derived from one event's timing fields, so a trace stays readable
+// exactly as long as its events stay in their ring. Nil and repeated logs
+// are skipped.
+//
+// The spans each event yields:
+//
+//	serve.request  refused at admission (rejected, shed, draining): one span
+//	               named by the outcome over QueueWait. Otherwise an
+//	               "enqueue" instant, then either a span named by the
+//	               outcome over QueueWait (reaped in the queue: expired,
+//	               abandoned) or "batch-wait" over QueueWait followed by
+//	               "device-execute" (an abandoned request: the outcome) over
+//	               DeviceTime
+//	train.epoch    "epoch[k]" over Wall
+//	job.state      queued: "submit" over Wall; running: "queue" over
+//	               QueueWait; done: "register" over Wall; cancelled:
+//	               "checkpoint" over Wall (each only when non-zero)
+//	job.recovered  "journal-replay" over QueueWait, then "recovery" over Wall
+//
+// Each span ends where the next begins and the last ends at the event's
+// Time, which the emitters set to the instant the recorded work ended.
+type TraceView []*EventLog
 
-// NewTracer returns a tracer retaining the last capacity traces
-// (DefaultTraceCapacity when capacity <= 0).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
+// Snapshot returns every trace the logs still retain, newest first.
+func (v TraceView) Snapshot() []TraceSnapshot { return v.collect("") }
+
+// Find returns the trace with the given ID.
+func (v TraceView) Find(id string) (TraceSnapshot, bool) {
+	if id == "" {
+		return TraceSnapshot{}, false
 	}
-	return &Tracer{ring: make([]*Trace, capacity)}
+	if ts := v.collect(id); len(ts) > 0 {
+		return ts[0], true
+	}
+	return TraceSnapshot{}, false
 }
 
-// traceSeq and traceSalt make IDs unique across tracers within a process
-// and unlikely to collide across processes.
+// collect groups the retained events carrying a trace ID (only the given
+// one when non-empty) into traces, newest first.
+func (v TraceView) collect(id string) []TraceSnapshot {
+	byID := map[string]int{}
+	var groups [][]*Event // per trace, newest event first
+	for _, l := range dedupLogs(v) {
+		l.scan(EventQuery{}, func(ev *Event) bool {
+			if ev.TraceID == "" || id != "" && ev.TraceID != id {
+				return true
+			}
+			i, ok := byID[ev.TraceID]
+			if !ok {
+				i = len(groups)
+				byID[ev.TraceID] = i
+				groups = append(groups, nil)
+			}
+			groups[i] = append(groups[i], ev)
+			return true
+		})
+	}
+	out := make([]TraceSnapshot, len(groups))
+	for i, evs := range groups {
+		tr := &out[i]
+		oldest := evs[len(evs)-1]
+		*tr = TraceSnapshot{ID: oldest.TraceID, Name: traceName(oldest), Start: oldest.Time, Spans: []Span{}}
+		// Oldest event first, so spans starting together keep the order
+		// the work happened in.
+		for j := len(evs) - 1; j >= 0; j-- {
+			tr.Spans = appendSpans(tr.Spans, evs[j])
+			if evs[j].Time.Before(tr.Start) {
+				tr.Start = evs[j].Time
+			}
+		}
+		sort.SliceStable(tr.Spans, func(a, b int) bool { return tr.Spans[a].Start.Before(tr.Spans[b].Start) })
+		if len(tr.Spans) > 0 && tr.Spans[0].Start.Before(tr.Start) {
+			tr.Start = tr.Spans[0].Start
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start.After(out[b].Start) })
+	return out
+}
+
+// traceName names a trace after the subject of one of its events: a
+// training job, or else a served request.
+func traceName(ev *Event) string {
+	if ev.Job != "" {
+		return "job:" + ev.Job
+	}
+	return "predict"
+}
+
+// appendSpans appends the spans one event yields (see TraceView).
+func appendSpans(spans []Span, ev *Event) []Span {
+	// chain lays durations end to end so the last one ends at ev.Time.
+	chain := func(parts ...Span) []Span {
+		at := ev.Time
+		for i := len(parts) - 1; i >= 0; i-- {
+			at = at.Add(-parts[i].Duration)
+			parts[i].Start = at
+		}
+		return append(spans, parts...)
+	}
+	switch ev.Kind {
+	case KindServeRequest:
+		switch {
+		case ev.Outcome == "rejected" || ev.Outcome == "shed" || ev.Outcome == "draining":
+			return chain(Span{Name: ev.Outcome, Duration: ev.QueueWait})
+		case ev.BatchID == 0:
+			return chain(Span{Name: "enqueue"}, Span{Name: ev.Outcome, Duration: ev.QueueWait})
+		}
+		exec := "device-execute"
+		if ev.Outcome != "ok" {
+			exec = ev.Outcome
+		}
+		return chain(Span{Name: "enqueue"}, Span{Name: "batch-wait", Duration: ev.QueueWait},
+			Span{Name: exec, Duration: ev.DeviceTime})
+	case KindTrainEpoch:
+		return chain(Span{Name: "epoch[" + strconv.Itoa(ev.Epoch) + "]", Duration: ev.Wall})
+	case KindJobRecovered:
+		return chain(Span{Name: "journal-replay", Duration: ev.QueueWait}, Span{Name: "recovery", Duration: ev.Wall})
+	case KindJobState:
+		name, d := "", ev.Wall
+		switch ev.Outcome {
+		case "queued":
+			name = "submit"
+		case "running":
+			name, d = "queue", ev.QueueWait
+		case "done":
+			name = "register"
+		case "cancelled":
+			name = "checkpoint"
+		}
+		if name != "" && d > 0 {
+			return chain(Span{Name: name, Duration: d})
+		}
+	}
+	return spans
+}
+
+// dedupLogs drops nil and repeated logs, keeping first-seen order.
+func dedupLogs(logs []*EventLog) []*EventLog {
+	seen := make(map[*EventLog]bool, len(logs))
+	out := make([]*EventLog, 0, len(logs))
+	for _, l := range logs {
+		if l == nil || seen[l] {
+			continue
+		}
+		seen[l] = true
+		out = append(out, l)
+	}
+	return out
+}
+
+// traceSeq and traceSalt make IDs unique across logs within a process and
+// unlikely to collide across processes.
 var (
 	traceSeq  atomic.Uint64
 	traceSalt = uint64(time.Now().UnixNano())
 )
 
-// newTraceID returns a 16-hex-digit ID (splitmix64 over a process-salted
+// NewTraceID returns a 16-hex-digit ID (splitmix64 over a process-salted
 // sequence — unique in-process, no locks).
-func newTraceID() string {
+func NewTraceID() string {
 	z := traceSeq.Add(1)*0x9e3779b97f4a7c15 ^ traceSalt
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return fmt.Sprintf("%016x", z^(z>>31))
 }
 
-// Start creates a trace, inserts it into the ring (possibly overwriting
-// the oldest), and returns it. Start on a nil tracer returns nil, which
-// every Trace method tolerates.
-func (t *Tracer) Start(name string) *Trace {
-	tr := t.Prepare(name)
-	t.Commit(tr)
-	return tr
-}
-
-// Prepare creates a trace that records spans but is NOT yet retained by
-// the ring; pass it to Commit once the traced operation is known to be
-// worth keeping. The split lets an admission path avoid burning a ring
-// slot on every rejected request — rejections cluster during incidents,
-// exactly when the retained traces matter most. Prepare on a nil tracer
-// returns nil.
-func (t *Tracer) Prepare(name string) *Trace {
-	if t == nil {
-		return nil
-	}
-	return &Trace{id: newTraceID(), name: name, start: time.Now()}
-}
-
-// Commit inserts a prepared trace into the ring (possibly overwriting the
-// oldest). Committing nil, or on a nil tracer, is a no-op. A trace that is
-// never committed is simply garbage collected with its spans.
-func (t *Tracer) Commit(tr *Trace) {
-	if t == nil || tr == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring[t.next] = tr
-	t.next = (t.next + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-// Cap returns the ring capacity (0 for a nil tracer).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
-
-// Len returns the number of retained traces.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Snapshot copies the retained traces, newest first.
-func (t *Tracer) Snapshot() []TraceSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	live := make([]*Trace, 0, t.n)
-	for i := 1; i <= t.n; i++ {
-		live = append(live, t.ring[(t.next-i+len(t.ring))%len(t.ring)])
-	}
-	t.mu.Unlock()
-	out := make([]TraceSnapshot, len(live))
-	for i, tr := range live {
-		out[i] = tr.snapshot()
-	}
-	return out
-}
-
-// Find returns the retained trace with the given ID.
-func (t *Tracer) Find(id string) (TraceSnapshot, bool) {
-	if t == nil {
-		return TraceSnapshot{}, false
-	}
-	t.mu.Lock()
-	var found *Trace
-	for i := 1; i <= t.n; i++ {
-		if tr := t.ring[(t.next-i+len(t.ring))%len(t.ring)]; tr.id == id {
-			found = tr
-			break
-		}
-	}
-	t.mu.Unlock()
-	if found == nil {
-		return TraceSnapshot{}, false
-	}
-	return found.snapshot(), true
-}
-
-func (tr *Trace) snapshot() TraceSnapshot {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return TraceSnapshot{
-		ID:    tr.id,
-		Name:  tr.name,
-		Start: tr.start,
-		Spans: append([]Span(nil), tr.spans...),
-	}
-}
-
-// ctxKey keys the trace stored in a context.
+// ctxKey keys the trace ID stored in a context.
 type ctxKey struct{}
 
-// NewContext returns ctx carrying tr, so a handler-started trace collects
-// the spans of everything downstream (the batcher, the device execution).
-func NewContext(ctx context.Context, tr *Trace) context.Context {
-	if tr == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, tr)
+// WithTraceID returns ctx carrying a sampling decision made upstream (by
+// an HTTP handler, say): the request's trace ID, or "" for a request the
+// sampler left unrecorded. Everything downstream records under that
+// decision instead of sampling again.
+func WithTraceID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, ctxKey{}, id)
 }
 
-// FromContext returns the trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(ctxKey{}).(*Trace)
-	return tr
+// TraceIDFromContext returns the decision ctx carries; ok is false when
+// no upstream decision was made.
+func TraceIDFromContext(ctx context.Context) (id string, ok bool) {
+	id, ok = ctx.Value(ctxKey{}).(string)
+	return id, ok
 }

@@ -5,106 +5,221 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// okRequest is a serve.request ok event as the server emits it: Time is
+// the end of the device execution that carried the request.
+func okRequest(id string, at time.Time, wait, exec time.Duration) Event {
+	return Event{Time: at, Kind: KindServeRequest, Model: "m", Outcome: "ok", TraceID: id,
+		Rows: 1, BatchID: 1, Occupancy: 1, QueueWait: wait, DeviceTime: exec}
+}
+
 func TestTraceBasics(t *testing.T) {
-	tc := NewTracer(8)
-	tr := tc.Start("predict")
-	if tr.ID() == "" {
-		t.Fatal("empty trace ID")
-	}
-	start := time.Now()
-	tr.Span("enqueue", start, start.Add(time.Microsecond))
-	done := tr.StartSpan("device-execute")
-	done()
-	snap, ok := tc.Find(tr.ID())
+	l := NewEventLog(8)
+	at := time.Now()
+	id := NewTraceID()
+	l.Emit(okRequest(id, at, 3*time.Millisecond, 2*time.Millisecond))
+	l.Emit(Event{Kind: KindServeRequest, Outcome: "ok", QueueWait: time.Millisecond}) // unrecorded ID: no trace
+
+	snap, ok := TraceView{l}.Find(id)
 	if !ok {
-		t.Fatalf("trace %s not found in ring", tr.ID())
+		t.Fatalf("trace %s not found in the view", id)
 	}
-	if len(snap.Spans) != 2 || snap.Spans[0].Name != "enqueue" || snap.Spans[1].Name != "device-execute" {
-		t.Fatalf("spans = %+v", snap.Spans)
+	if snap.Name != "predict" || !snap.Start.Equal(at.Add(-5*time.Millisecond)) {
+		t.Fatalf("trace = %+v, want name predict starting at enqueue", snap)
 	}
-	if snap.Spans[0].Duration != time.Microsecond {
-		t.Fatalf("span duration = %v", snap.Spans[0].Duration)
+	want := []Span{
+		{Name: "enqueue", Start: at.Add(-5 * time.Millisecond)},
+		{Name: "batch-wait", Start: at.Add(-5 * time.Millisecond), Duration: 3 * time.Millisecond},
+		{Name: "device-execute", Start: at.Add(-2 * time.Millisecond), Duration: 2 * time.Millisecond},
+	}
+	if len(snap.Spans) != len(want) {
+		t.Fatalf("spans = %+v, want %+v", snap.Spans, want)
+	}
+	for i, sp := range snap.Spans {
+		if sp.Name != want[i].Name || !sp.Start.Equal(want[i].Start) || sp.Duration != want[i].Duration {
+			t.Fatalf("span %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+	if got := (TraceView{l}).Snapshot(); len(got) != 1 {
+		t.Fatalf("snapshot holds %d traces, want 1 (events without a trace ID form none)", len(got))
 	}
 
-	if tc2 := NewTracer(4); tc2.Start("a").ID() == tc2.Start("a").ID() {
-		t.Fatal("trace IDs collide")
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	seen := map[string]bool{}
+	for i := 0; i < 1000; i++ {
+		id := NewTraceID()
+		if !hex16.MatchString(id) || seen[id] {
+			t.Fatalf("trace ID %q malformed or repeated", id)
+		}
+		seen[id] = true
+	}
+}
+
+// TestTraceViewDerivesSpans pins the event → span mapping for every request
+// outcome and for a job's done and cancel-with-checkpoint paths: the span
+// names, and that each duration is the source event's QueueWait,
+// DeviceTime, or Wall.
+func TestTraceViewDerivesSpans(t *testing.T) {
+	const (
+		qw   = 3 * time.Millisecond
+		dt   = 2 * time.Millisecond
+		wall = 5 * time.Millisecond
+	)
+	t0 := time.Now()
+	req := func(outcome string, batch uint64, device time.Duration) []Event {
+		lv := LevelWarn
+		if outcome == "ok" {
+			lv = LevelInfo
+		}
+		return []Event{{Time: t0, Level: lv, Kind: KindServeRequest, Outcome: outcome,
+			BatchID: batch, QueueWait: qw, DeviceTime: device}}
+	}
+	job := func(evs ...Event) []Event {
+		for i := range evs {
+			evs[i].Time = t0.Add(time.Duration(i) * 10 * time.Millisecond)
+			evs[i].Job = "job-1"
+		}
+		return evs
+	}
+	state := func(outcome string, ev Event) Event {
+		ev.Kind, ev.Outcome = KindJobState, outcome
+		return ev
+	}
+	epoch := func(k int) Event { return Event{Kind: KindTrainEpoch, Epoch: k, Wall: wall + time.Duration(k)} }
+	type span struct {
+		name string
+		d    time.Duration
+	}
+	cases := []struct {
+		name   string
+		events []Event
+		trace  string
+		want   []span
+	}{
+		{"ok", req("ok", 7, dt), "predict",
+			[]span{{"enqueue", 0}, {"batch-wait", qw}, {"device-execute", dt}}},
+		{"rejected", req("rejected", 0, 0), "predict", []span{{"rejected", qw}}},
+		{"shed", req("shed", 0, 0), "predict", []span{{"shed", qw}}},
+		{"expired", req("expired", 0, 0), "predict", []span{{"enqueue", 0}, {"expired", qw}}},
+		{"abandoned in queue", req("abandoned", 0, 0), "predict", []span{{"enqueue", 0}, {"abandoned", qw}}},
+		{"abandoned in flight", req("abandoned", 7, dt), "predict",
+			[]span{{"enqueue", 0}, {"batch-wait", qw}, {"abandoned", dt}}},
+		{"job done", job(
+			state("queued", Event{Wall: time.Millisecond}),
+			state("running", Event{QueueWait: qw}),
+			epoch(1), epoch(2),
+			state("done", Event{Wall: 4 * time.Millisecond}),
+		), "job:job-1", []span{{"submit", time.Millisecond}, {"queue", qw},
+			{"epoch[1]", wall + 1}, {"epoch[2]", wall + 2}, {"register", 4 * time.Millisecond}}},
+		{"job cancelled with checkpoint", job(
+			state("queued", Event{Wall: time.Millisecond}),
+			state("running", Event{QueueWait: qw}),
+			epoch(1),
+			state("cancelled", Event{Level: LevelWarn, Wall: 6 * time.Millisecond}),
+		), "job:job-1", []span{{"submit", time.Millisecond}, {"queue", qw},
+			{"epoch[1]", wall + 1}, {"checkpoint", 6 * time.Millisecond}}},
+		{"job recovered and resumed", job(
+			Event{Kind: KindJobRecovered, Outcome: "queued", QueueWait: qw, Wall: time.Millisecond},
+			state("queued", Event{}),
+			state("running", Event{QueueWait: qw}),
+			epoch(3),
+			state("done", Event{}), // no registrar: nothing to register
+		), "job:job-1", []span{{"journal-replay", qw}, {"recovery", time.Millisecond},
+			{"queue", qw}, {"epoch[3]", wall + 3}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewEventLog(16)
+			id := NewTraceID()
+			for _, ev := range tc.events {
+				ev.TraceID = id
+				l.Emit(ev)
+			}
+			snap, ok := TraceView{l}.Find(id)
+			if !ok {
+				t.Fatal("trace not found")
+			}
+			var got []span
+			for _, sp := range snap.Spans {
+				got = append(got, span{sp.Name, sp.Duration})
+			}
+			if snap.Name != tc.trace || fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("trace %q spans %v, want %q %v", snap.Name, got, tc.trace, tc.want)
+			}
+		})
 	}
 }
 
 func TestNilTracerAndTraceAreNoOps(t *testing.T) {
-	var tc *Tracer
-	tr := tc.Start("x")
-	if tr != nil {
-		t.Fatal("nil tracer returned a trace")
+	var nilLog *EventLog
+	if id := nilLog.Sample(); id != "" {
+		t.Fatalf("nil log sampled ID %q", id)
 	}
-	// All of these must be safe on a nil trace.
-	if tr.ID() != "" {
-		t.Fatal("nil trace has an ID")
-	}
-	tr.Span("s", time.Now(), time.Now())
-	tr.StartSpan("s")()
-	if tc.Len() != 0 || tc.Cap() != 0 || tc.Snapshot() != nil {
-		t.Fatal("nil tracer not empty")
-	}
-	if _, ok := tc.Find("abc"); ok {
-		t.Fatal("nil tracer found a trace")
+	for _, v := range []TraceView{nil, {nilLog}, {NewEventLog(4)}} {
+		if got := v.Snapshot(); len(got) != 0 {
+			t.Fatalf("view %v snapshot = %+v, want empty", v, got)
+		}
+		if _, ok := v.Find("abc"); ok {
+			t.Fatalf("view %v found a trace", v)
+		}
+		if _, ok := v.Find(""); ok {
+			t.Fatalf("view %v found the empty ID", v)
+		}
 	}
 }
 
-// TestTraceRingWraparound fills the ring past capacity and checks that
-// exactly the newest Cap() traces survive, newest first.
+// TestTraceRingWraparound fills the event ring past capacity and checks
+// that the view holds exactly the traces whose events survive, newest
+// first.
 func TestTraceRingWraparound(t *testing.T) {
-	tc := NewTracer(4)
+	l := NewEventLog(4)
+	at := time.Now()
 	var ids []string
 	for i := 0; i < 10; i++ {
-		ids = append(ids, tc.Start(fmt.Sprintf("t%d", i)).ID())
+		ids = append(ids, NewTraceID())
+		l.Emit(okRequest(ids[i], at.Add(time.Duration(i)*time.Millisecond), time.Microsecond, time.Microsecond))
 	}
-	if tc.Len() != 4 {
-		t.Fatalf("ring len = %d, want 4", tc.Len())
-	}
-	snap := tc.Snapshot()
+	snap := TraceView{l}.Snapshot()
 	if len(snap) != 4 {
 		t.Fatalf("snapshot len = %d, want 4", len(snap))
 	}
 	for i, s := range snap {
-		// Newest first: t9, t8, t7, t6.
-		if want := fmt.Sprintf("t%d", 9-i); s.Name != want {
-			t.Fatalf("snapshot[%d] = %s, want %s", i, s.Name, want)
+		if want := ids[9-i]; s.ID != want {
+			t.Fatalf("snapshot[%d] = %s, want %s (newest first)", i, s.ID, want)
 		}
 	}
-	// Overwritten traces are gone; retained ones are findable.
-	if _, ok := tc.Find(ids[0]); ok {
+	if _, ok := (TraceView{l}).Find(ids[0]); ok {
 		t.Fatal("overwritten trace still findable")
 	}
-	if _, ok := tc.Find(ids[9]); !ok {
+	if _, ok := (TraceView{l}).Find(ids[9]); !ok {
 		t.Fatal("newest trace not findable")
 	}
 
-	// Partial ring (no wraparound yet) snapshots only what exists.
-	small := NewTracer(8)
-	small.Start("only")
-	if snap := small.Snapshot(); len(snap) != 1 || snap[0].Name != "only" {
+	// Partial ring (no wraparound yet) yields only what exists.
+	small := NewEventLog(8)
+	small.Emit(okRequest("only", at, 0, 0))
+	if snap := (TraceView{small}).Snapshot(); len(snap) != 1 || snap[0].ID != "only" {
 		t.Fatalf("partial snapshot = %+v", snap)
 	}
 }
 
-// TestTraceRingConcurrent races Start/Span against Snapshot/Find under
-// -race: wraparound must not tear snapshots.
+// TestTraceRingConcurrent races emitters against Snapshot/Find under
+// -race: wraparound must not tear a derived trace.
 func TestTraceRingConcurrent(t *testing.T) {
-	tc := NewTracer(16)
+	l := NewEventLog(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr := tc.Start("req")
-				tr.StartSpan("work")()
+				l.Emit(okRequest(l.Sample(), time.Now(), time.Microsecond, time.Microsecond))
 			}
 		}()
 	}
@@ -119,9 +234,13 @@ func TestTraceRingConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					for _, s := range tc.Snapshot() {
-						tc.Find(s.ID)
+				}
+				for _, s := range (TraceView{l}).Snapshot() {
+					if len(s.Spans) != 3 {
+						t.Errorf("torn trace %+v", s)
+						return
 					}
+					TraceView{l}.Find(s.ID)
 				}
 			}
 		}()
@@ -129,30 +248,28 @@ func TestTraceRingConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if tc.Len() != 16 {
-		t.Fatalf("ring len = %d, want 16", tc.Len())
+	if n := len(TraceView{l}.Snapshot()); n != 16 {
+		t.Fatalf("view holds %d traces, want the ring's 16", n)
 	}
 }
 
 func TestTraceContext(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty context carried a trace")
+	if _, ok := TraceIDFromContext(context.Background()); ok {
+		t.Fatal("empty context carried a sampling decision")
 	}
-	if ctx := NewContext(context.Background(), nil); FromContext(ctx) != nil {
-		t.Fatal("nil trace stored in context")
+	if id, ok := TraceIDFromContext(WithTraceID(context.Background(), "")); !ok || id != "" {
+		t.Fatalf("unrecorded decision = (%q, %v), want (\"\", true)", id, ok)
 	}
-	tr := NewTracer(1).Start("x")
-	ctx := NewContext(context.Background(), tr)
-	if FromContext(ctx) != tr {
-		t.Fatal("trace not carried through context")
+	if id, ok := TraceIDFromContext(WithTraceID(context.Background(), "abc")); !ok || id != "abc" {
+		t.Fatalf("decision = (%q, %v), want (abc, true)", id, ok)
 	}
 }
 
 func TestTracesHandler(t *testing.T) {
-	tc := NewTracer(4)
-	tr := tc.Start("http.predict")
-	tr.StartSpan("device-execute")()
-	srv := httptest.NewServer(TracesHandler(tc, tc, nil))
+	l := NewEventLog(4)
+	id := NewTraceID()
+	l.Emit(okRequest(id, time.Now(), time.Microsecond, time.Microsecond))
+	srv := httptest.NewServer(TracesHandler(l, l, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -166,10 +283,34 @@ func TestTracesHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(body.Traces) != 1 {
-		t.Fatalf("traces = %d, want 1 (dedup of identical tracers)", len(body.Traces))
+		t.Fatalf("traces = %d, want 1 (dedup of identical logs)", len(body.Traces))
 	}
-	if body.Traces[0].ID != tr.ID() || len(body.Traces[0].Spans) != 1 {
+	if body.Traces[0].ID != id || len(body.Traces[0].Spans) != 3 {
 		t.Fatalf("trace = %+v", body.Traces[0])
+	}
+
+	// The wire format: {"traces":[{id,name,start,spans:[{name,start,duration_ns}]}]}.
+	resp2, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var raw map[string][]map[string]any
+	if err := json.NewDecoder(resp2.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	tr := raw["traces"][0]
+	for _, k := range []string{"id", "name", "start", "spans"} {
+		if _, ok := tr[k]; !ok {
+			t.Fatalf("trace JSON missing %q: %v", k, tr)
+		}
+	}
+	sp := tr["spans"].([]any)[1].(map[string]any)
+	if sp["name"] != "batch-wait" || sp["duration_ns"] != float64(time.Microsecond) || sp["start"] == nil {
+		t.Fatalf("span JSON = %v", sp)
+	}
+	if !strings.Contains(fmt.Sprint(tr["name"]), "predict") {
+		t.Fatalf("trace name = %v", tr["name"])
 	}
 }
 
@@ -184,38 +325,4 @@ func TestPprofHandler(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("pprof index status %d", resp.StatusCode)
 	}
-}
-
-// TestPrepareCommit pins the two-phase trace lifecycle: a prepared trace
-// records spans but occupies no ring slot until committed, so traces of
-// rejected requests never evict retained ones.
-func TestPrepareCommit(t *testing.T) {
-	tr := NewTracer(4)
-	committed := tr.Start("kept")
-	committed.Span("work", time.Now(), time.Now())
-
-	for i := 0; i < 100; i++ {
-		p := tr.Prepare("rejected")
-		p.Span("rejected", time.Now(), time.Now())
-		// Never committed: must not touch the ring.
-	}
-	if got := tr.Len(); got != 1 {
-		t.Fatalf("ring holds %d traces after 100 uncommitted prepares, want 1", got)
-	}
-	if snap := tr.Snapshot(); len(snap) != 1 || snap[0].Name != "kept" {
-		t.Fatalf("snapshot = %+v, want the committed trace only", snap)
-	}
-
-	p := tr.Prepare("late")
-	if p == nil || p.ID() == "" {
-		t.Fatal("prepared trace is unusable before commit")
-	}
-	tr.Commit(p)
-	if got := tr.Len(); got != 2 {
-		t.Fatalf("ring holds %d traces after commit, want 2", got)
-	}
-
-	// Nil safety mirrors the rest of the package.
-	var nilT *Tracer
-	nilT.Commit(nilT.Prepare("x"))
 }

@@ -54,10 +54,10 @@ const (
 //
 // Each row of a predict request is routed through the batcher individually,
 // so concurrent HTTP clients (and the rows of one multi-row request)
-// coalesce into shared device-saturating micro-batches. Sampled predict
-// requests (Config.TraceEvery) get a trace whose ID is echoed in the
-// X-Trace-Id response header and the trace_id response field; its spans
-// are readable at /debug/traces.
+// coalesce into shared device-saturating micro-batches. A predict request
+// the event log's sampler records gets a trace ID, echoed in the X-Trace-Id
+// response header and the trace_id response field; its spans are readable
+// at /debug/traces.
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
@@ -103,7 +103,7 @@ func NewHandler(s *Server) http.Handler {
 		writeJSON(w, s.Stats())
 	})
 	mux.Handle("/metrics", obs.MetricsHandler(s.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(s.Tracer()))
+	mux.Handle("/debug/traces", obs.TracesHandler(s.Events()))
 	mux.Handle("/debug/events", obs.EventsHandler(s.Events()))
 	mux.Handle("/debug/slo", slo.Handler(s.SLO()))
 	mux.Handle("/debug/flight", obs.FlightHandler(s.Flight()))
@@ -152,7 +152,7 @@ type predictRequest struct {
 
 // predictResponse is the POST /v1/predict reply: one output row and argmax
 // label per query row. TraceID names the request's span trace at
-// /debug/traces when the request was sampled for tracing.
+// /debug/traces when the sampler recorded the request.
 type predictResponse struct {
 	Model   string      `json:"model"`
 	Y       [][]float64 `json:"y"`
@@ -198,15 +198,12 @@ func handlePredict(s *Server, w http.ResponseWriter, r *http.Request) {
 		Y:      make([][]float64, len(rows)),
 		Labels: make([]int, len(rows)),
 	}
-	// A sampled request gets one trace shared by all its rows, carried to
-	// Server.Predict through the context; the ID is echoed in the header
-	// and body so the caller can look its spans up at /debug/traces.
-	ctx := r.Context()
-	if tr := s.startTrace("http.predict"); tr != nil {
-		ctx = obs.NewContext(ctx, tr)
-		resp.TraceID = tr.ID()
-		w.Header().Set("X-Trace-Id", tr.ID())
-	}
+	// The sampler decides once for the whole request: a recorded request
+	// gets one trace ID shared by all its rows, carried to Server.Predict
+	// through the context, and echoed in the header and body so the caller
+	// can look its spans up at /debug/traces.
+	traceID := s.cfg.Events.Sample()
+	ctx := obs.WithTraceID(r.Context(), traceID)
 	// Rows go through Server.Predict concurrently so they coalesce into
 	// micro-batches with each other and with other in-flight requests.
 	errs := make([]error, len(rows))
@@ -227,11 +224,26 @@ func handlePredict(s *Server, w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			if traceID != "" && recorded(err) {
+				w.Header().Set("X-Trace-Id", traceID)
+			}
 			httpError(w, statusFor(err), "%v", err)
 			return
 		}
 	}
+	if traceID != "" {
+		resp.TraceID = traceID
+		w.Header().Set("X-Trace-Id", traceID)
+	}
 	writeJSON(w, resp)
+}
+
+// recorded reports whether a failed Predict left a serve.request event
+// behind, so its trace ID resolves at /debug/traces. A request that fails
+// validation (unknown model, wrong feature count) records nothing.
+func recorded(err error) bool {
+	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrShed) ||
+		errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrDraining)
 }
 
 // limitFlagReader records whether the wrapped reader (a MaxBytesReader)

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eigenpro/internal/core"
 	"eigenpro/internal/mat"
+	"eigenpro/internal/obs"
 )
 
 // waitFor polls cond until it holds or the deadline lapses.
@@ -192,16 +194,26 @@ func TestDeadlineAwareShedding(t *testing.T) {
 	}
 }
 
-// TestRejectionDoesNotEvictTraces pins the trace-ring fix: queue-full
-// rejections must not commit (and thereby evict) ring slots, which is
-// exactly what they would do during an overload incident. The pipeline is
-// plugged with a gated model so the queue stays full for the whole flood.
+// TestRejectionDoesNotEvictTraces pins the retention rule of the trace
+// view: queue-full rejections are recorded as wide events but add no trace
+// to the view, so a rejection flood during an overload incident cannot
+// crowd out the traces of the requests that ran. The pipeline is plugged
+// with a gated model so the queue stays full for the whole flood.
 func TestRejectionDoesNotEvictTraces(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 		MaxLatency: time.Millisecond, Timeout: -1,
 	})
-	m, entered := gatedModel(t)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 64)
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before s.Close, which must not wait on a gated worker
+	m := &core.Model{
+		Kern:  gateKernel{gate: gate, entered: entered},
+		X:     mat.NewDenseData(1, 2, []float64{0, 0}),
+		Alpha: mat.NewDenseData(1, 1, []float64{1}),
+	}
 	if err := s.Register("m", m); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +226,7 @@ func TestRejectionDoesNotEvictTraces(t *testing.T) {
 	// deterministic: one request executing (blocked on the gate), one
 	// buffered in the work channel, one held by the batcher blocked on the
 	// work send, one parked in the depth-1 queue. Nothing can drain until
-	// the gate opens at cleanup, so every request below is rejected.
+	// the gate opens, so every request below is rejected.
 	plug()
 	<-entered // worker is executing and gated
 	plug()
@@ -227,7 +239,6 @@ func TestRejectionDoesNotEvictTraces(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return len(e.queue) == 1 },
 		"fourth plug never parked in the queue")
 
-	before := s.Tracer().Len()
 	var rejected int
 	for i := 0; i < 100; i++ {
 		if _, err := s.Predict(context.Background(), "m", []float64{0, 0}); errors.Is(err, ErrOverloaded) {
@@ -236,8 +247,29 @@ func TestRejectionDoesNotEvictTraces(t *testing.T) {
 			t.Fatalf("request %d was admitted into a plugged pipeline: %v", i, err)
 		}
 	}
-	if after := s.Tracer().Len(); after != before {
-		t.Fatalf("trace ring grew from %d to %d across %d rejections: rejected requests burn ring slots",
-			before, after, rejected)
+	if n := len(s.Events().Query(obs.EventQuery{Outcome: "rejected"})); n != rejected {
+		t.Fatalf("%d rejected events recorded for %d rejections", n, rejected)
+	}
+	if traces := s.Tracer().Snapshot(); len(traces) != 0 {
+		t.Fatalf("%d rejections put %d traces in the view: %+v", rejected, len(traces), traces)
+	}
+
+	// Unplugged, the four admitted requests complete and their traces are
+	// readable alongside the flood's records.
+	release()
+	waitFor(t, 5*time.Second, func() bool { return s.Stats().Requests == 4 },
+		"plugged requests never completed")
+	traces := s.Tracer().Snapshot()
+	if len(traces) != 4 {
+		t.Fatalf("view holds %d traces, want the 4 plugged requests", len(traces))
+	}
+	for _, tr := range traces {
+		var names []string
+		for _, sp := range tr.Spans {
+			names = append(names, sp.Name)
+		}
+		if got := strings.Join(names, ","); got != "enqueue,batch-wait,device-execute" {
+			t.Fatalf("trace %s spans = %s", tr.ID, got)
+		}
 	}
 }

@@ -96,20 +96,14 @@ type Config struct {
 	// shared registry to expose serving, jobs, and trainer series from one
 	// /metrics endpoint.
 	Metrics *obs.Registry
-	// Tracer records per-request span traces; nil creates a private tracer
-	// of DefaultTraceCapacity. Readable via Server.Tracer.
-	Tracer *obs.Tracer
-	// TraceEvery samples request tracing: every Nth request not already
-	// carrying a trace in its context starts one. 0 traces every request;
-	// < 0 disables tracing.
-	TraceEvery int
-	// Events receives one wide obs.Event per request outcome — ok,
-	// rejected, shed, expired, abandoned — carrying the request's model,
-	// queue wait, device time, micro-batch id and occupancy, and trace id.
-	// nil disables event logging entirely (unlike Metrics and Tracer, which
-	// default to private instances): the event ring is an opt-in debugging
-	// surface, and the zero Config keeps the hot path at its minimum cost.
-	// Readable via Server.Events.
+	// Events is the per-request record: one wide obs.Event per request
+	// outcome — ok, rejected, shed, expired, abandoned — carrying the
+	// request's model, queue wait, device time, micro-batch id and
+	// occupancy, and trace id, from which Server.Tracer derives the span
+	// traces. Its sampler (EventLog.SetSampleEvery) decides at admission
+	// which requests are recorded; warnings and errors are always kept.
+	// nil creates a private log of obs.DefaultEventCapacity recording every
+	// request. Readable via Server.Events.
 	Events *obs.EventLog
 	// SLO is the burn-rate evaluator judging this server's telemetry. The
 	// server itself never calls into it (the evaluator polls Metrics on its
@@ -154,11 +148,8 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
-	if c.TraceEvery == 0 {
-		c.TraceEvery = 1
+	if c.Events == nil {
+		c.Events = obs.NewEventLog(0)
 	}
 	return c
 }
@@ -170,7 +161,6 @@ type Server struct {
 	reg      *Registry
 	work     chan *batch
 	stats    *statsCore
-	traceSeq atomic.Uint64 // request counter for TraceEvery sampling
 	batchSeq atomic.Uint64 // dispatched micro-batch ids for wide events
 
 	done     chan struct{}
@@ -260,16 +250,16 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	}
 	if s.draining.Load() {
 		s.stats.recordRejected()
-		if s.cfg.Events != nil {
-			s.cfg.Events.Emit(obs.Event{
-				Level:   obs.LevelWarn,
-				Kind:    obs.KindServeRequest,
-				Model:   name,
-				Outcome: "draining",
-				Rows:    1,
-				Err:     ErrDraining.Error(),
-			})
-		}
+		id, _ := obs.TraceIDFromContext(ctx)
+		s.cfg.Events.Emit(obs.Event{
+			Level:   obs.LevelWarn,
+			Kind:    obs.KindServeRequest,
+			Model:   name,
+			Outcome: "draining",
+			TraceID: id,
+			Rows:    1,
+			Err:     ErrDraining.Error(),
+		})
 		return nil, ErrDraining
 	}
 	e, ok := s.reg.entry(name)
@@ -279,17 +269,8 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	if m := e.model.Load(); len(x) != m.X.Cols {
 		return nil, fmt.Errorf("serve: model %q wants %d features, got %d", name, m.X.Cols, len(x))
 	}
-	tr := obs.FromContext(ctx)
-	// A server-sampled trace is prepared here but committed to the ring
-	// only after successful admission: rejections cluster during overload
-	// incidents, and an empty "rejected" trace must not evict the retained
-	// traces of requests that actually ran.
-	var sampled *obs.Trace
-	if tr == nil {
-		sampled = s.prepareTrace("predict")
-		tr = sampled
-	}
-	req := &request{x: x, ctx: ctx, tr: tr, enq: time.Now(), done: make(chan struct{})}
+	upstream, decided := obs.TraceIDFromContext(ctx)
+	req := &request{x: x, ctx: ctx, id: upstream, enq: time.Now(), done: make(chan struct{})}
 	if d, ok := ctx.Deadline(); ok {
 		req.deadline = d
 	} else if s.cfg.Timeout > 0 {
@@ -298,11 +279,16 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	if s.cfg.Shed && !req.deadline.IsZero() {
 		if wait := e.estimatedWait(); wait > 0 && req.enq.Add(wait).After(req.deadline) {
 			s.stats.recordShed()
-			tr.Span("shed", req.enq, time.Now())
 			err := fmt.Errorf("%w (estimated wait %v)", ErrShed, wait.Round(time.Millisecond))
-			s.requestEvent(obs.LevelWarn, "shed", e.name, tr, req, err)
+			s.requestEvent(obs.LevelWarn, "shed", e.name, req, err)
 			return nil, err
 		}
+	}
+	// Admission: the sampler decides here, once, whether this request is
+	// recorded (unless the caller decided upstream). The ID must be set
+	// before the enqueue publishes the request to the batcher.
+	if !decided {
+		req.id = s.cfg.Events.Sample()
 	}
 	// The pending count is raised before the enqueue attempt so Drain can
 	// never observe zero while an admitted request is still in flight; a
@@ -311,14 +297,15 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	s.pending.Add(1)
 	select {
 	case e.queue <- req:
-		s.cfg.Tracer.Commit(sampled)
-		tr.Span("enqueue", req.enq, time.Now())
 	default:
 		s.pending.Add(-1)
 		req.pending = nil
 		s.stats.recordRejected()
-		tr.Span("rejected", req.enq, time.Now())
-		s.requestEvent(obs.LevelWarn, "rejected", e.name, tr, req, ErrOverloaded)
+		// An ID sampled above was never handed out: the refusal is
+		// recorded, but rejections (which cluster during overload) add no
+		// trace to crowd out the ones that ran.
+		req.id = upstream
+		s.requestEvent(obs.LevelWarn, "rejected", e.name, req, ErrOverloaded)
 		return nil, ErrOverloaded
 	}
 	select {
@@ -348,11 +335,11 @@ func (s *Server) Stats() Stats { return s.stats.snapshot() }
 // Metrics returns the registry the serving telemetry registers into.
 func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 
-// Tracer returns the span ring recording sampled request traces.
-func (s *Server) Tracer() *obs.Tracer { return s.cfg.Tracer }
+// Tracer returns the span traces of the recorded requests, derived from
+// the wide events in Events.
+func (s *Server) Tracer() obs.TraceView { return obs.TraceView{s.cfg.Events} }
 
-// Events returns the wide-event log, or nil when Config.Events was nil
-// (event logging disabled).
+// Events returns the wide-event log recording this server's requests.
 func (s *Server) Events() *obs.EventLog { return s.cfg.Events }
 
 // SLO returns the burn-rate evaluator, or nil when Config.SLO was nil
@@ -364,21 +351,19 @@ func (s *Server) Flight() *obs.FlightRecorder { return s.cfg.Flight }
 
 // requestEvent emits one serve.request wide event for a request that
 // terminated before any device work — rejected, shed, expired, or
-// abandoned in the queue (no-op with a nil Config.Events). QueueWait is
-// enqueue → now; there is no batch or device time to report.
-func (s *Server) requestEvent(level obs.Level, outcome, model string, tr *obs.Trace,
-	r *request, err error) {
-	if s.cfg.Events == nil {
-		return
-	}
+// abandoned in the queue. QueueWait is enqueue → now; there is no batch or
+// device time to report.
+func (s *Server) requestEvent(level obs.Level, outcome, model string, r *request, err error) {
+	now := time.Now()
 	ev := obs.Event{
+		Time:      now,
 		Level:     level,
 		Kind:      obs.KindServeRequest,
 		Model:     model,
 		Outcome:   outcome,
-		TraceID:   tr.ID(),
+		TraceID:   r.id,
 		Rows:      1,
-		QueueWait: time.Since(r.enq),
+		QueueWait: now.Sub(r.enq),
 	}
 	if err != nil {
 		ev.Err = err.Error()
@@ -387,20 +372,18 @@ func (s *Server) requestEvent(level obs.Level, outcome, model string, tr *obs.Tr
 }
 
 // batchEvent emits one serve.request wide event for a request that rode a
-// dispatched micro-batch: ok, or abandoned mid-flight (no-op with a nil
-// Config.Events). QueueWait is enqueue → device dispatch; DeviceTime,
-// BatchID, and Occupancy describe the wave that carried it.
+// dispatched micro-batch: ok, or abandoned mid-flight. QueueWait is
+// enqueue → device dispatch; DeviceTime, BatchID, and Occupancy describe
+// the wave that carried it, which ended at the event's Time.
 func (s *Server) batchEvent(level obs.Level, outcome, model string, r *request,
 	batchID uint64, occupancy int, execStart time.Time, deviceTime time.Duration, err error) {
-	if s.cfg.Events == nil {
-		return
-	}
 	ev := obs.Event{
+		Time:       execStart.Add(deviceTime),
 		Level:      level,
 		Kind:       obs.KindServeRequest,
 		Model:      model,
 		Outcome:    outcome,
-		TraceID:    r.tr.ID(),
+		TraceID:    r.id,
 		Rows:       1,
 		QueueWait:  execStart.Sub(r.enq),
 		DeviceTime: deviceTime,
@@ -411,28 +394,6 @@ func (s *Server) batchEvent(level obs.Level, outcome, model string, r *request,
 		ev.Err = err.Error()
 	}
 	s.cfg.Events.Emit(ev)
-}
-
-// startTrace starts a retained trace if this request is sampled (per
-// Config.TraceEvery), or returns nil — safe to use as a no-op trace.
-func (s *Server) startTrace(name string) *obs.Trace {
-	tr := s.prepareTrace(name)
-	s.cfg.Tracer.Commit(tr)
-	return tr
-}
-
-// prepareTrace applies the TraceEvery sampling decision and returns a
-// prepared (not yet ring-retained) trace, or nil when unsampled. The
-// caller commits it once the request passes admission.
-func (s *Server) prepareTrace(name string) *obs.Trace {
-	n := s.cfg.TraceEvery
-	if n <= 0 {
-		return nil
-	}
-	if n > 1 && (s.traceSeq.Add(1)-1)%uint64(n) != 0 {
-		return nil
-	}
-	return s.cfg.Tracer.Prepare(name)
 }
 
 // Draining reports whether admission is closed for graceful shutdown.
@@ -448,7 +409,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // and safe to call concurrently; callers after the first wait alongside it.
 func (s *Server) Drain(timeout time.Duration) error {
 	begin := time.Now()
-	if s.draining.CompareAndSwap(false, true) && s.cfg.Events != nil {
+	if s.draining.CompareAndSwap(false, true) {
 		s.cfg.Events.Emit(obs.Event{
 			Level:   obs.LevelWarn,
 			Kind:    obs.KindServerDrain,
@@ -471,12 +432,8 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 }
 
-// drainEvent emits the server.draining completion event (no-op with a nil
-// Config.Events).
+// drainEvent emits the server.draining completion event.
 func (s *Server) drainEvent(outcome string, inflight int, begin time.Time) {
-	if s.cfg.Events == nil {
-		return
-	}
 	level := obs.LevelInfo
 	if outcome != "drained" {
 		level = obs.LevelError
@@ -513,12 +470,11 @@ func (s *Server) reap(e *entry, r *request, now time.Time) bool {
 	switch {
 	case !r.deadline.IsZero() && now.After(r.deadline):
 		s.stats.recordExpired()
-		s.requestEvent(obs.LevelWarn, "expired", e.name, r.tr, r, ErrDeadlineExceeded)
+		s.requestEvent(obs.LevelWarn, "expired", e.name, r, ErrDeadlineExceeded)
 		r.fail(ErrDeadlineExceeded)
 	case r.isAbandoned():
 		s.stats.recordAbandoned()
-		r.tr.Span("abandoned", r.enq, now)
-		s.requestEvent(obs.LevelWarn, "abandoned", e.name, r.tr, r, context.Canceled)
+		s.requestEvent(obs.LevelWarn, "abandoned", e.name, r, context.Canceled)
 		r.fail(context.Canceled)
 	default:
 		return false
@@ -569,14 +525,15 @@ func (s *Server) execute(b *batch) {
 			// already spent, but the latency quantiles must carry only
 			// delivered responses.
 			s.stats.recordAbandoned()
-			r.tr.Span("abandoned", r.enq, done)
 			s.batchEvent(obs.LevelWarn, "abandoned", b.entry.name, r, batchID, len(live), execStart, deviceTime, context.Canceled)
 			continue
 		}
-		s.stats.recordDone(done.Sub(r.enq), r.tr.ID())
-		r.tr.Span("batch-wait", r.enq, execStart)
-		r.tr.Span("device-execute", execStart, done)
-		s.batchEvent(obs.LevelInfo, "ok", b.entry.name, r, batchID, len(live), execStart, deviceTime, nil)
+		s.stats.recordDone(done.Sub(r.enq), r.id)
+		if r.id != "" {
+			s.batchEvent(obs.LevelInfo, "ok", b.entry.name, r, batchID, len(live), execStart, deviceTime, nil)
+		} else {
+			s.cfg.Events.Drop()
+		}
 	}
 	s.stats.recordBatch(len(live))
 	for i, r := range live {
