@@ -61,7 +61,7 @@ func TestSLOBreachLifecycle(t *testing.T) {
 
 	srv := NewServer(ServerConfig{
 		Metrics: reg, Events: events,
-		SLO: ev, Flight: flight,
+		SLO: ev,
 	})
 	defer srv.Close()
 	if err := srv.Register("m", res.Model); err != nil {

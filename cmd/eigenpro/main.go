@@ -71,7 +71,7 @@ func runTrain() {
 	savePath := flag.String("save", "", "write the trained model (gob) to this path")
 	flag.Parse()
 
-	ds, err := datasetByName(*dataset, *n, *seed)
+	ds, err := eigenpro.DatasetByName(*dataset, *n, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -83,16 +83,9 @@ func runTrain() {
 		os.Exit(2)
 	}
 
-	var m eigenpro.Method
-	switch *method {
-	case "eigenpro2":
-		m = eigenpro.MethodEigenPro2
-	case "eigenpro1":
-		m = eigenpro.MethodEigenPro1
-	case "sgd":
-		m = eigenpro.MethodSGD
-	default:
-		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
+	m, err := eigenpro.MethodByName(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

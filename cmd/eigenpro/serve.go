@@ -138,7 +138,6 @@ func runServe(args []string) {
 		Metrics:    reg,
 		Events:     events,
 		SLO:        sloEval,
-		Flight:     flight,
 	})
 	defer srv.Close()
 
@@ -152,8 +151,6 @@ func runServe(args []string) {
 		Registrar:       srv,
 		Metrics:         reg,
 		Events:          events,
-		SLO:             sloEval,
-		Flight:          flight,
 		StateDir:        *stateDir,
 		CheckpointEvery: *checkpointEvery,
 	})
@@ -252,7 +249,7 @@ func runServe(args []string) {
 // registry under job="startup", so /metrics carries trainer series even
 // before the first POST /train.
 func trainFallback(dataset string, n int, sigma float64, epochs int, seed int64, reg *eigenpro.MetricsRegistry) (*eigenpro.Model, error) {
-	ds, err := datasetByName(dataset, n, seed)
+	ds, err := eigenpro.DatasetByName(dataset, n, seed)
 	if err != nil {
 		return nil, err
 	}

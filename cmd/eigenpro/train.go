@@ -29,7 +29,7 @@ func runTrainJob(args []string) {
 	poll := fs.Duration("poll", 50*time.Millisecond, "status poll interval")
 	fs.Parse(args)
 
-	ds, err := datasetByName(*dataset, *n, *seed)
+	ds, err := eigenpro.DatasetByName(*dataset, *n, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -39,16 +39,9 @@ func runTrainJob(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var m eigenpro.Method
-	switch *method {
-	case "eigenpro2":
-		m = eigenpro.MethodEigenPro2
-	case "eigenpro1":
-		m = eigenpro.MethodEigenPro1
-	case "sgd":
-		m = eigenpro.MethodSGD
-	default:
-		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
+	m, err := eigenpro.MethodByName(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -132,10 +125,4 @@ func runTrainJob(args []string) {
 		}
 		fmt.Printf("model written to %s\n", *savePath)
 	}
-}
-
-// datasetByName resolves the synthetic dataset presets shared by the train
-// and serve subcommands.
-func datasetByName(name string, n int, seed int64) (*eigenpro.Dataset, error) {
-	return eigenpro.DatasetByName(name, n, seed)
 }

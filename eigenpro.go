@@ -103,6 +103,11 @@ const (
 	MethodEigenPro2 = core.MethodEigenPro2
 )
 
+// MethodByName maps a method name (eigenpro2, eigenpro1, sgd) to its
+// Method — the inverse of Method.String, shared by the CLI and the HTTP
+// training endpoint.
+func MethodByName(name string) (Method, error) { return core.MethodByName(name) }
+
 // Model is a trained kernel machine f(x) = Σ_i α_i k(x_i, x).
 type Model = core.Model
 
@@ -235,9 +240,10 @@ var (
 // inspect Server.Stats; call Close to release its goroutines.
 func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 
-// NewServerHandler exposes a server over HTTP JSON (POST /v1/predict,
-// GET /v1/models, PUT /v1/models/{name}, GET /v1/stats, GET /metrics,
-// GET /debug/traces, GET /healthz, GET /readyz).
+// NewServerHandler exposes a server over HTTP JSON: POST /v1/predict,
+// GET /v1/models, PUT /v1/models/{name}, GET /v1/stats, and the ops routes
+// GET /metrics, /debug/traces, /debug/events, /debug/slo, /debug/flight,
+// /healthz and /readyz.
 func NewServerHandler(s *Server) http.Handler { return serve.NewHandler(s) }
 
 // MetricsRegistry is a dependency-free metrics registry (counters, gauges,
@@ -286,22 +292,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // (<= 0 selects a default capacity of 4096).
 func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
 
-// MetricsHandler serves the registries (plus Go runtime telemetry) with
-// content negotiation: Prometheus text by default, OpenMetrics with
-// histogram exemplars under Accept: application/openmetrics-text.
-// Duplicate registries are exposed once.
-func MetricsHandler(regs ...*MetricsRegistry) http.Handler { return obs.MetricsHandler(regs...) }
-
-// TracesHandler serves the span traces the logs' events still hold as
-// JSON (?id= for one trace, ?limit= to bound the response).
-func TracesHandler(logs ...*EventLog) http.Handler { return obs.TracesHandler(logs...) }
-
-// EventsHandler serves the logs' recent wide events as JSON, filtered by
-// ?kind=&model=&outcome=&job=&level=&since=&limit=.
-func EventsHandler(logs ...*EventLog) http.Handler { return obs.EventsHandler(logs...) }
-
 // RegisterRuntimeMetrics registers Go runtime telemetry (goroutines,
-// heap, GC pauses, scheduler latency) into reg. MetricsHandler already
+// heap, GC pauses, scheduler latency) into reg. GET /metrics already
 // exposes these from a process-wide registry; use this only to place the
 // go_* series in a registry of your own.
 func RegisterRuntimeMetrics(reg *MetricsRegistry) { obs.RegisterRuntimeMetrics(reg) }
@@ -368,14 +360,11 @@ type SLOTransition = slo.Transition
 
 // NewSLOEvaluator validates cfg, registers the eigenpro_slo_* gauges into
 // cfg.Metrics (default cfg.Source), and starts the background evaluation
-// loop; call Close to release it. Attach the evaluator to
-// ServerConfig.SLO / TrainingConfig.SLO so the HTTP handlers serve
-// GET /debug/slo and degrade /readyz while an objective pages.
+// loop; call Close to release it. Give the evaluator once, as
+// ServerConfig.SLO, so the HTTP handler serves GET /debug/slo, serves its
+// SLOConfig.Flight recorder at GET /debug/flight, and degrades /readyz
+// while an objective pages.
 func NewSLOEvaluator(cfg SLOConfig) (*SLOEvaluator, error) { return slo.New(cfg) }
-
-// SLOHandler serves GET /debug/slo for the given evaluators (nil
-// evaluators are skipped; duplicates are reported once).
-func SLOHandler(evs ...*SLOEvaluator) http.Handler { return slo.Handler(evs...) }
 
 // FlightRecorder captures breach-triggered debugging snapshots: a CPU
 // profile, heap profile, goroutine dump, the newest wide events, the span
@@ -399,10 +388,6 @@ type FlightSnapshot = obs.FlightSnapshot
 func NewFlightRecorder(cfg FlightConfig) (*FlightRecorder, error) {
 	return obs.NewFlightRecorder(cfg)
 }
-
-// FlightHandler serves GET /debug/flight: the snapshot listing, one
-// snapshot's file list (?snapshot=), or raw file contents (?file=).
-func FlightHandler(f *FlightRecorder) http.Handler { return obs.FlightHandler(f) }
 
 // ObserveTraining returns a Config.OnEpoch hook that records per-epoch
 // training telemetry (epoch/iteration counters, epoch-duration histogram,
@@ -472,63 +457,37 @@ func SubmitTraining(m *TrainingManager, spec TrainingSpec) (string, error) { ret
 // JobStatus returns a snapshot of a training job's status and metrics.
 func JobStatus(m *TrainingManager, id string) (TrainingJob, bool) { return m.Job(id) }
 
-// NewTrainServeHandler combines the serving endpoints (NewServerHandler)
-// with the training-job endpoints on one mux:
+// NewTrainServeHandler combines the training-job endpoints
 //
-//	POST /train, GET /jobs, GET /jobs/{id},
+//	POST /train, GET /jobs, GET /jobs/{id}, DELETE /jobs/{id},
 //	POST /jobs/{id}/cancel, POST /jobs/{id}/resume
 //
-// When the manager's Registrar is s, a model trained via POST /train is
-// immediately servable via POST /v1/predict under its submitted name — the
-// full train → serve loop over one HTTP server.
+// with the serving endpoints and ops routes of NewServerHandler
+//
+//	POST /v1/predict, GET /v1/models, PUT /v1/models/{name}, GET /v1/stats,
+//	GET /metrics, GET /debug/traces, GET /debug/events, GET /debug/slo,
+//	GET /debug/flight, GET /healthz, GET /readyz
+//
+// on one mux, with the manager as the server's peer. When the manager's
+// Registrar is s, a model trained via POST /train is immediately servable
+// via POST /v1/predict under its submitted name — the full train → serve
+// loop over one HTTP server.
 //
 // GET /metrics merges the server's and the manager's registries (one
-// exposition when they share a registry), so a single scrape covers
-// request rates, rejection/expiry counts, micro-batch occupancy,
-// device-clock utilization, queue depths, per-job epoch progress, and the
-// train-MSE trajectory; runtime telemetry (go_*) rides along, and an
-// Accept: application/openmetrics-text header selects OpenMetrics with
-// latency exemplars. GET /debug/traces and GET /debug/events merge both
-// wide-event logs, GET /debug/slo merges
-// both SLO evaluators (and /debug/flight serves whichever flight recorder
-// is attached), and GET /readyz reports ready once a model is servable or
-// the manager is accepting jobs — degraded (503) while any SLO objective
-// is paging, and 503 "draining" once Server.Drain has begun graceful
-// shutdown.
+// exposition when they share a registry), and GET /debug/traces and
+// GET /debug/events merge both wide-event logs. GET /debug/slo and
+// GET /debug/flight serve ServerConfig.SLO and the recorder it was armed
+// with. GET /readyz is 503 "draining" once Server.Drain has begun, 503
+// "not ready" until a model is servable or the manager accepts jobs, 503
+// "degraded: slo page" while an SLO objective is paging, and 200 "ok"
+// otherwise.
 func NewTrainServeHandler(s *Server, m *TrainingManager) http.Handler {
 	mux := http.NewServeMux()
 	jh := jobs.NewHandler(m)
 	mux.Handle("/train", jh)
 	mux.Handle("/jobs", jh)
 	mux.Handle("/jobs/", jh)
-	mux.Handle("/metrics", obs.MetricsHandler(s.Metrics(), m.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(s.Events(), m.Events()))
-	mux.Handle("/debug/events", obs.EventsHandler(s.Events(), m.Events()))
-	mux.Handle("/debug/slo", slo.Handler(s.SLO(), m.SLO()))
-	flight := s.Flight()
-	if flight == nil {
-		flight = m.Flight()
-	}
-	mux.Handle("/debug/flight", obs.FlightHandler(flight))
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "draining\n")
-			return
-		}
-		if len(s.Models()) == 0 && !m.Accepting() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "not ready\n")
-			return
-		}
-		if slo.AnyPaging(s.SLO(), m.SLO()) {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "degraded: slo page\n")
-			return
-		}
-		io.WriteString(w, "ok\n")
-	})
-	mux.Handle("/", serve.NewHandler(s))
+	mux.Handle("/", serve.NewHandler(s, m))
 	return mux
 }
 

@@ -104,8 +104,7 @@ func main() {
 	srv := eigenpro.NewServer(eigenpro.ServerConfig{
 		Metrics: reg,
 		Events:  events,
-		SLO:     sloEval,
-		Flight:  flight,
+		SLO:     sloEval, // also serves its Flight recorder at /debug/flight
 	})
 	defer srv.Close()
 	mgr := eigenpro.NewTrainingManager(eigenpro.TrainingConfig{

@@ -45,6 +45,18 @@ func (m Method) String() string {
 	}
 }
 
+// MethodByName maps a method name (eigenpro2, eigenpro1, sgd) to its
+// Method — the inverse of String, shared by the CLI and the HTTP training
+// endpoint.
+func MethodByName(name string) (Method, error) {
+	for _, m := range []Method{MethodEigenPro2, MethodEigenPro1, MethodSGD} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q", name)
+}
+
 // Config controls a training run. The zero value of every optional field
 // selects the paper's automatic choice.
 type Config struct {

@@ -327,6 +327,21 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
+// TestMethodByNameRoundTrip checks MethodByName inverts String for every
+// method and rejects other names.
+func TestMethodByNameRoundTrip(t *testing.T) {
+	for _, m := range []Method{MethodEigenPro2, MethodEigenPro1, MethodSGD} {
+		if got, err := MethodByName(m.String()); err != nil || got != m {
+			t.Errorf("MethodByName(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "EigenPro2", "Method(9)"} {
+		if _, err := MethodByName(name); err == nil {
+			t.Errorf("MethodByName(%q) accepted", name)
+		}
+	}
+}
+
 func TestCostFormulas(t *testing.T) {
 	n, m, d, l, s, q := 1000, 100, 50, 10, 200, 20
 	sgd := SGDIterOps(n, m, d, l)

@@ -13,8 +13,6 @@ import (
 	"eigenpro/internal/data"
 	"eigenpro/internal/kernel"
 	"eigenpro/internal/mat"
-	"eigenpro/internal/obs"
-	"eigenpro/internal/obs/slo"
 )
 
 // NewHandler exposes a Manager over HTTP JSON:
@@ -25,20 +23,12 @@ import (
 //	POST   /jobs/{id}/cancel  stop at the next epoch boundary (checkpointing)
 //	POST   /jobs/{id}/resume  continue a cancelled job bit-for-bit
 //	DELETE /jobs/{id}         evict a terminal job (frees data and model)
-//	GET    /metrics           metric exposition (Prometheus text, or OpenMetrics
-//	                          under Accept: application/openmetrics-text)
-//	GET    /debug/traces      recent job span traces (JSON; ?id= and ?limit=)
-//	GET    /debug/events      recent wide events (JSON; ?job=&outcome=&since=&limit=)
-//	GET    /debug/slo         SLO objectives, burn rates, budget, alert history (JSON)
-//	GET    /debug/flight      flight-recorder snapshots (JSON; ?snapshot= and ?file=)
-//	GET    /healthz           liveness
-//	GET    /readyz            readiness: 200 while the manager accepts jobs;
-//	                          503 "degraded" while an SLO objective is paging
 //
 // Combined with the serving handler on one mux (eigenpro.NewTrainServeHandler),
 // a model trained via POST /train is immediately servable via POST
 // /v1/predict under the submitted name — the full train → serve loop over
-// one server.
+// one server. The ops routes (/metrics, /debug/*, /healthz, /readyz) are
+// the serving handler's, with the manager as its peer.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/train", func(w http.ResponseWriter, r *http.Request) {
@@ -57,27 +47,6 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		handleJob(m, w, r)
-	})
-	mux.Handle("/metrics", obs.MetricsHandler(m.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(m.Events()))
-	mux.Handle("/debug/events", obs.EventsHandler(m.Events()))
-	mux.Handle("/debug/slo", slo.Handler(m.SLO()))
-	mux.Handle("/debug/flight", obs.FlightHandler(m.Flight()))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !m.Accepting() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "not ready")
-			return
-		}
-		if m.SLO().Paging() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "degraded: slo page")
-			return
-		}
-		fmt.Fprintln(w, "ok")
 	})
 	return mux
 }
@@ -156,10 +125,11 @@ func decodeTrainRequest(r io.Reader) (trainRequest, error) {
 	if _, err := kernel.ByName(req.Kernel, req.Sigma); err != nil {
 		return req, err
 	}
-	switch req.Method {
-	case "", "eigenpro2", "eigenpro1", "sgd":
-	default:
-		return req, fmt.Errorf("unknown method %q", req.Method)
+	if req.Method == "" {
+		req.Method = core.MethodEigenPro2.String()
+	}
+	if _, err := core.MethodByName(req.Method); err != nil {
+		return req, err
 	}
 	hasInline := len(req.X) > 0
 	switch {
@@ -237,14 +207,9 @@ func (req trainRequest) spec() (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	var method core.Method
-	switch req.Method {
-	case "", "eigenpro2":
-		method = core.MethodEigenPro2
-	case "eigenpro1":
-		method = core.MethodEigenPro1
-	case "sgd":
-		method = core.MethodSGD
+	method, err := core.MethodByName(req.Method)
+	if err != nil {
+		return Spec{}, err
 	}
 
 	var x, y *mat.Dense

@@ -35,7 +35,6 @@ import (
 	"eigenpro/internal/durable"
 	"eigenpro/internal/mat"
 	"eigenpro/internal/obs"
-	"eigenpro/internal/obs/slo"
 )
 
 // Errors returned by the job lifecycle.
@@ -79,15 +78,6 @@ type Config struct {
 	// Pass a serving Server's event log to read the whole system's history
 	// from one /debug/events.
 	Events *obs.EventLog
-	// SLO is the burn-rate evaluator judging this manager's telemetry
-	// (typically a training_progress objective reading the shared event
-	// log). The manager never calls into it; carrying it here lets
-	// NewHandler mount GET /debug/slo and degrade /readyz while an
-	// objective is paging. nil disables both.
-	SLO *slo.Evaluator
-	// Flight is the breach-triggered flight recorder whose snapshots
-	// NewHandler serves at GET /debug/flight; nil disables the endpoint.
-	Flight *obs.FlightRecorder
 	// StateDir, when non-empty, selects persistent mode: every lifecycle
 	// transition is appended to a checksummed journal under this
 	// directory, running trainers checkpoint to disk at epoch boundaries,

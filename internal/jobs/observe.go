@@ -3,7 +3,6 @@ package jobs
 import (
 	"eigenpro/internal/durable"
 	"eigenpro/internal/obs"
-	"eigenpro/internal/obs/slo"
 )
 
 // Job-lifecycle telemetry series names. The lifecycle counters and the
@@ -91,13 +90,6 @@ func (m *Manager) Metrics() *obs.Registry { return m.cfg.Metrics }
 
 // Events returns the wide-event log recording the jobs' lifecycles.
 func (m *Manager) Events() *obs.EventLog { return m.cfg.Events }
-
-// SLO returns the burn-rate evaluator, or nil when Config.SLO was nil
-// (nil is valid everywhere it is passed).
-func (m *Manager) SLO() *slo.Evaluator { return m.cfg.SLO }
-
-// Flight returns the flight recorder, or nil when Config.Flight was nil.
-func (m *Manager) Flight() *obs.FlightRecorder { return m.cfg.Flight }
 
 // Accepting reports whether the manager accepts new submissions — the
 // readiness signal behind GET /readyz.

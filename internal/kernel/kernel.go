@@ -102,11 +102,6 @@ func ByName(family string, sigma float64) (Func, error) {
 	}
 }
 
-// Families lists the family names ByName accepts.
-func Families() []string {
-	return []string{"gaussian", "laplacian", "cauchy", "matern32", "matern52"}
-}
-
 // Family returns the serializable (family, sigma) pair of a kernel built
 // from this package — the inverse of ByName. Kernels from outside the
 // package have no stable name and return an error; they can train but

@@ -54,12 +54,6 @@ func (a *Dense) Set(i, j int, v float64) { a.Data[i*a.Cols+j] = v }
 // through the returned slice are visible in the matrix.
 func (a *Dense) RowView(i int) []float64 { return a.Data[i*a.Cols : (i+1)*a.Cols] }
 
-// Dims returns the (rows, cols) dimensions.
-func (a *Dense) Dims() (int, int) { return a.Rows, a.Cols }
-
-// IsEmpty reports whether the matrix has zero elements.
-func (a *Dense) IsEmpty() bool { return a.Rows == 0 || a.Cols == 0 }
-
 // Clone returns a deep copy of the matrix.
 func (a *Dense) Clone() *Dense {
 	out := NewDense(a.Rows, a.Cols)

@@ -3,80 +3,35 @@ package slo
 import (
 	"encoding/json"
 	"net/http"
-	"time"
+	"slices"
 )
 
-// Handler serves GET /debug/slo as JSON: the union of the given
-// evaluators' objectives (with burn rates, error-budget remaining, and
-// alert state), the merged transition history (newest first), and the
-// evaluation-cost counters. Nil evaluators are skipped, so the endpoint
-// is safe to mount unconditionally; with none live the payload is empty.
-func Handler(evs ...*Evaluator) http.Handler {
-	uniq := dedup(evs)
+// Handler serves GET /debug/slo as JSON: the evaluator's objectives (with
+// burn rates, error-budget remaining, and alert state), its transition
+// history (newest first), and the evaluation-cost counters. A nil
+// evaluator serves an empty payload, so the endpoint is safe to mount
+// unconditionally.
+func Handler(e *Evaluator) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		objectives := []ObjectiveStatus{}
-		history := []Transition{}
-		var ticks uint64
-		var cost time.Duration
-		for _, e := range uniq {
-			st := e.Status()
-			objectives = append(objectives, st.Objectives...)
-			history = append(history, st.History...)
-			ticks += st.Ticks
-			cost += st.EvalCost
-		}
-		sortTransitionsNewestFirst(history)
+		st := e.Status()
+		objectives := append([]ObjectiveStatus{}, st.Objectives...)
+		history := append([]Transition{}, st.History...)
+		slices.SortStableFunc(history, func(a, b Transition) int { return b.Time.Compare(a.Time) })
 		payload := map[string]any{
 			"objectives":   objectives,
 			"history":      history,
-			"ticks":        ticks,
-			"eval_cost_ns": cost,
-			"paging":       anyPaging(uniq),
+			"ticks":        st.Ticks,
+			"eval_cost_ns": st.EvalCost,
+			"paging":       e.Paging(),
 		}
-		if ticks > 0 {
-			payload["eval_per_tick_ns"] = int64(cost) / int64(ticks)
+		if st.Ticks > 0 {
+			payload["eval_per_tick_ns"] = int64(st.EvalCost) / int64(st.Ticks)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(payload)
 	})
-}
-
-// AnyPaging reports whether any of the evaluators has an objective in
-// StatePage — the combined-handler form of Evaluator.Paging.
-func AnyPaging(evs ...*Evaluator) bool { return anyPaging(dedup(evs)) }
-
-func anyPaging(evs []*Evaluator) bool {
-	for _, e := range evs {
-		if e.Paging() {
-			return true
-		}
-	}
-	return false
-}
-
-func dedup(evs []*Evaluator) []*Evaluator {
-	seen := make(map[*Evaluator]bool, len(evs))
-	out := make([]*Evaluator, 0, len(evs))
-	for _, e := range evs {
-		if e == nil || seen[e] {
-			continue
-		}
-		seen[e] = true
-		out = append(out, e)
-	}
-	return out
-}
-
-// sortTransitionsNewestFirst orders merged histories newest first
-// (insertion sort; histories are short and mostly ordered).
-func sortTransitionsNewestFirst(ts []Transition) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Time.After(ts[j-1].Time); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

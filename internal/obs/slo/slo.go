@@ -170,18 +170,6 @@ func (s State) String() string {
 	}
 }
 
-// ParseState maps a state name to its State (unknown names map to ok).
-func ParseState(s string) State {
-	switch s {
-	case "warn":
-		return StateWarn
-	case "page":
-		return StatePage
-	default:
-		return StateOK
-	}
-}
-
 // jobProgress tracks one training job's health baseline.
 type jobProgress struct {
 	ewmaWall float64 // smoothed epoch wall seconds
@@ -394,6 +382,15 @@ func (e *Evaluator) Window() time.Duration {
 		return 0
 	}
 	return e.cfg.Window
+}
+
+// Flight returns the recorder armed by Config.Flight — the one whose
+// snapshots GET /debug/flight serves — or nil (also for a nil evaluator).
+func (e *Evaluator) Flight() *obs.FlightRecorder {
+	if e == nil {
+		return nil
+	}
+	return e.cfg.Flight
 }
 
 // Paging reports whether any objective is currently in StatePage — the

@@ -76,6 +76,9 @@ func TestHysteresisOkWarnPageOk(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newAvailFixture(t, fr)
+	if f.ev.Flight() != fr {
+		t.Fatal("Flight() does not return the armed recorder")
+	}
 
 	f.ev.Tick(at(0)) // baseline tick seeds the poll cursor
 	f.good.Add(10)
@@ -385,8 +388,8 @@ func TestNilEvaluator(t *testing.T) {
 	if st := ev.Status(); len(st.Objectives) != 0 {
 		t.Fatal("nil evaluator reported objectives")
 	}
-	if AnyPaging(nil, nil) {
-		t.Fatal("AnyPaging(nil, nil) = true")
+	if ev.Flight() != nil {
+		t.Fatal("nil evaluator reported a flight recorder")
 	}
 }
 
@@ -442,7 +445,7 @@ func TestHandler(t *testing.T) {
 	f.ev.Tick(at(0))
 	f.bad.Add(10)
 	f.ev.Tick(at(1))
-	h := Handler(f.ev, nil, f.ev) // nils skipped, duplicates deduped
+	h := Handler(f.ev)
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/slo", nil))
@@ -460,7 +463,7 @@ func TestHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(payload.Objectives) != 1 || payload.Objectives[0].Name != "avail" {
-		t.Fatalf("payload objectives = %+v (duplicate evaluator not deduped?)", payload.Objectives)
+		t.Fatalf("payload objectives = %+v", payload.Objectives)
 	}
 	if payload.Ticks != 2 || payload.EvalPer <= 0 {
 		t.Fatalf("payload ticks/eval_per_tick = %d/%d", payload.Ticks, payload.EvalPer)
@@ -478,7 +481,7 @@ func TestHandler(t *testing.T) {
 		t.Fatalf("POST /debug/slo = %d, want 405", rr.Code)
 	}
 
-	// An empty handler (all nil) serves an empty, valid payload.
+	// A nil evaluator serves an empty, valid payload.
 	rr = httptest.NewRecorder()
 	Handler(nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/slo", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), `"objectives":[]`) {

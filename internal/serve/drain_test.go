@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"eigenpro/internal/obs"
+	"eigenpro/internal/obs/slo"
 )
 
 // TestDrainFlushesInFlightRequests is the graceful-shutdown contract: a
@@ -182,5 +183,87 @@ func TestReadyzReportsDraining(t *testing.T) {
 	}
 	if body != "draining\n" {
 		t.Fatalf("/readyz body = %q, want \"draining\\n\"", body)
+	}
+}
+
+// peer is a stub Peer whose acceptance of work the test sets.
+type peer struct{ accepting bool }
+
+func (peer) Metrics() *obs.Registry { return nil }
+func (peer) Events() *obs.EventLog  { return nil }
+func (p peer) Accepting() bool      { return p.accepting }
+
+// pagingEvaluator returns a manually ticked availability evaluator driven
+// into StatePage by all-bad traffic.
+func pagingEvaluator(t *testing.T) *slo.Evaluator {
+	t.Helper()
+	reg := obs.NewRegistry()
+	bad := reg.Counter("test_bad_total", "bad requests")
+	reg.Counter("test_good_total", "good requests")
+	t0 := time.Unix(0, 0)
+	ev, err := slo.New(slo.Config{
+		Objectives: []slo.Objective{{
+			Kind:       slo.Availability,
+			GoodMetric: "test_good_total",
+			BadMetrics: []string{"test_bad_total"},
+		}},
+		Window:     12 * time.Second,
+		Resolution: time.Second,
+		Source:     reg,
+		Manual:     true,
+		Now:        func() time.Time { return t0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; !ev.Paging(); i++ {
+		if i == 20 {
+			t.Fatal("all-bad traffic never paged")
+		}
+		bad.Add(10)
+		ev.Tick(t0.Add(time.Duration(i) * time.Second))
+	}
+	return ev
+}
+
+// TestReadiness pins the one /readyz rule and its order: draining, then
+// not ready (no model and no accepting peer), then an SLO page, then ok.
+func TestReadiness(t *testing.T) {
+	paging := pagingEvaluator(t)
+	cases := []struct {
+		name     string
+		model    bool
+		draining bool
+		ev       *slo.Evaluator
+		peers    []Peer
+		code     int
+		body     string
+	}{
+		{"draining", true, true, paging, nil, http.StatusServiceUnavailable, "draining\n"},
+		{"no model, no peer", false, false, paging, nil, http.StatusServiceUnavailable, "not ready\n"},
+		{"no model, accepting peer", false, false, nil, []Peer{peer{false}, peer{true}}, http.StatusOK, "ok\n"},
+		{"no model, closed peer", false, false, nil, []Peer{peer{false}}, http.StatusServiceUnavailable, "not ready\n"},
+		{"paging", true, false, paging, nil, http.StatusServiceUnavailable, "degraded: slo page\n"},
+		{"ready", true, false, nil, nil, http.StatusOK, "ok\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := newTestServer(t, Config{SLO: c.ev})
+			if c.model {
+				if err := s.Register("default", testModel(4, 2, 1, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.draining {
+				if err := s.Drain(time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rr := httptest.NewRecorder()
+			NewHandler(s, c.peers...).ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
+			if rr.Code != c.code || rr.Body.String() != c.body {
+				t.Fatalf("/readyz = %d %q, want %d %q", rr.Code, rr.Body.String(), c.code, c.body)
+			}
+		})
 	}
 }

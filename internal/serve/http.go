@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -35,22 +36,33 @@ const (
 	maxPredictFeatures = 1 << 16
 )
 
-// NewHandler exposes a Server over HTTP JSON:
+// Peer is a component sharing the process with a Server — the
+// training-job manager in `eigenpro serve` — whose telemetry NewHandler
+// merges into the ops routes and whose acceptance of work makes the
+// process ready. *jobs.Manager satisfies it.
+type Peer interface {
+	Metrics() *obs.Registry
+	Events() *obs.EventLog
+	Accepting() bool
+}
+
+// NewHandler exposes a Server, and the telemetry of its peers, over HTTP
+// JSON:
 //
 //	POST /v1/predict        {"model":"m","x":[...]} or {"model":"m","xs":[[...],...]}
 //	GET  /v1/models         list registered model names
 //	PUT  /v1/models/{name}  gob model body (core.SaveModel) → register/hot-swap
 //	GET  /v1/stats          serving counters
-//	GET  /metrics           metric exposition (Prometheus text, or OpenMetrics
-//	                        with exemplars under Accept: application/openmetrics-text)
-//	GET  /debug/traces      recent request span traces (JSON; ?id= and ?limit=)
-//	GET  /debug/events      recent wide events (JSON; ?model=&outcome=&since=&limit=)
-//	GET  /debug/slo         SLO objectives, burn rates, budget, alert history (JSON)
-//	GET  /debug/flight      flight-recorder snapshots (JSON; ?snapshot= and ?file=)
+//	GET  /metrics           metric exposition of the server's and peers'
+//	                        registries (Prometheus text, or OpenMetrics with
+//	                        exemplars under Accept: application/openmetrics-text)
+//	GET  /debug/traces      recent span traces (JSON; ?id= and ?limit=)
+//	GET  /debug/events      recent wide events (JSON; ?model=&job=&outcome=&since=&limit=)
+//	GET  /debug/slo         Config.SLO's objectives, burn rates, budget, alert history (JSON)
+//	GET  /debug/flight      snapshots of the flight recorder Config.SLO was
+//	                        armed with (JSON; ?snapshot= and ?file=)
 //	GET  /healthz           liveness
-//	GET  /readyz            readiness: 200 once at least one model is
-//	                        registered; 503 "degraded" while an SLO
-//	                        objective is paging
+//	GET  /readyz            readiness (see readiness)
 //
 // Each row of a predict request is routed through the batcher individually,
 // so concurrent HTTP clients (and the rows of one multi-row request)
@@ -58,7 +70,13 @@ const (
 // the event log's sampler records gets a trace ID, echoed in the X-Trace-Id
 // response header and the trace_id response field; its spans are readable
 // at /debug/traces.
-func NewHandler(s *Server) http.Handler {
+func NewHandler(s *Server, peers ...Peer) http.Handler {
+	regs := []*obs.Registry{s.Metrics()}
+	logs := []*obs.EventLog{s.Events()}
+	for _, p := range peers {
+		regs = append(regs, p.Metrics())
+		logs = append(logs, p.Events())
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -102,44 +120,38 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
 	})
-	mux.Handle("/metrics", obs.MetricsHandler(s.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(s.Events()))
-	mux.Handle("/debug/events", obs.EventsHandler(s.Events()))
+	mux.Handle("/metrics", obs.MetricsHandler(regs...))
+	mux.Handle("/debug/traces", obs.TracesHandler(logs...))
+	mux.Handle("/debug/events", obs.EventsHandler(logs...))
 	mux.Handle("/debug/slo", slo.Handler(s.SLO()))
-	mux.Handle("/debug/flight", obs.FlightHandler(s.Flight()))
+	mux.Handle("/debug/flight", obs.FlightHandler(s.SLO().Flight()))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/readyz", readyHandler(
-		func() bool { return len(s.Models()) > 0 }, s.Draining, s.SLO()))
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		code, status := readiness(s, peers)
+		w.WriteHeader(code)
+		fmt.Fprintln(w, status)
+	})
 	return mux
 }
 
-// readyHandler returns a readiness endpoint: 200 "ok" when ready reports
-// true, 503 otherwise. A draining server reports 503 "draining" so load
-// balancers stop routing new traffic here during graceful shutdown, and a
-// paging SLO objective degrades a ready process to 503 "degraded: slo page"
-// so orchestrators stop routing new traffic at a server that is blowing its
-// budget.
-func readyHandler(ready, draining func() bool, ev *slo.Evaluator) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if draining != nil && draining() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		if !ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "not ready")
-			return
-		}
-		if ev.Paging() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "degraded: slo page")
-			return
-		}
-		fmt.Fprintln(w, "ok")
+// readiness is the process's /readyz rule, checked in order: a draining
+// server is 503 "draining", so load balancers stop routing new traffic
+// during graceful shutdown; with no registered model and no peer accepting
+// work it is 503 "not ready"; a paging SLO objective degrades a ready
+// process to 503 "degraded: slo page", so orchestrators stop routing new
+// traffic at a server that is blowing its budget; otherwise 200 "ok".
+func readiness(s *Server, peers []Peer) (int, string) {
+	switch {
+	case s.Draining():
+		return http.StatusServiceUnavailable, "draining"
+	case len(s.Models()) == 0 && !slices.ContainsFunc(peers, Peer.Accepting):
+		return http.StatusServiceUnavailable, "not ready"
+	case s.SLO().Paging():
+		return http.StatusServiceUnavailable, "degraded: slo page"
 	}
+	return http.StatusOK, "ok"
 }
 
 // predictRequest is the POST /v1/predict body; X carries one query, XS a

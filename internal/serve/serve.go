@@ -105,17 +105,13 @@ type Config struct {
 	// nil creates a private log of obs.DefaultEventCapacity recording every
 	// request. Readable via Server.Events.
 	Events *obs.EventLog
-	// SLO is the burn-rate evaluator judging this server's telemetry. The
+	// SLO is the burn-rate evaluator judging the process's telemetry. The
 	// server itself never calls into it (the evaluator polls Metrics on its
 	// own cadence — the hot path stays untouched); carrying it here lets
-	// NewHandler mount GET /debug/slo and degrade /readyz while an
-	// objective is paging. nil disables both.
+	// NewHandler serve GET /debug/slo, serve the recorder armed by its
+	// slo.Config.Flight at GET /debug/flight, and degrade /readyz while an
+	// objective is paging. nil leaves both payloads empty.
 	SLO *slo.Evaluator
-	// Flight is the breach-triggered flight recorder whose snapshots
-	// NewHandler serves at GET /debug/flight; nil disables the endpoint.
-	// Arm it by passing the same recorder as the evaluator's
-	// slo.Config.Flight.
-	Flight *obs.FlightRecorder
 }
 
 // Defaults for Config zero values.
@@ -345,9 +341,6 @@ func (s *Server) Events() *obs.EventLog { return s.cfg.Events }
 // SLO returns the burn-rate evaluator, or nil when Config.SLO was nil
 // (nil is valid everywhere it is passed).
 func (s *Server) SLO() *slo.Evaluator { return s.cfg.SLO }
-
-// Flight returns the flight recorder, or nil when Config.Flight was nil.
-func (s *Server) Flight() *obs.FlightRecorder { return s.cfg.Flight }
 
 // requestEvent emits one serve.request wide event for a request that
 // terminated before any device work — rejected, shed, expired, or
