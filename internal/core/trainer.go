@@ -407,9 +407,11 @@ type Trainer struct {
 	bestVal   float64
 	sinceBest int
 
-	// Reusable buffers for the full-size batches that dominate the run;
-	// the (at most one per epoch) ragged tail batch allocates its own.
-	kbBuf, fBuf *mat.Dense
+	// Reusable per-batch buffers sized for a full batch of m rows: the
+	// gathered batch features (m x d), its kernel matrix (m x n) and K·α
+	// (m x l). The (at most one per epoch) ragged tail batch uses row-prefix
+	// views of them.
+	xbBuf, kbBuf, fBuf *mat.Dense
 
 	wall time.Duration // accumulated Step wall time
 }
@@ -424,8 +426,9 @@ func newTrainerFromState(st *trainState, dev *device.Device, n, d, l int) *Train
 		d:       d,
 		l:       l,
 		bestVal: math.Inf(1),
+		xbBuf:   mat.NewDense(m, d),
 		kbBuf:   mat.NewDense(m, n),
-		fBuf:    mat.NewDense(m, st.y.Cols),
+		fBuf:    mat.NewDense(m, l),
 	}
 	t.res = &Result{
 		Model:      st.model,
@@ -495,17 +498,15 @@ func (t *Trainer) Step() (EpochStats, error) {
 				etaT = cfg.Eta * float64(mt) / float64(m)
 			}
 		}
-		xb := st.x.SelectRows(batch)
-		var kb, f *mat.Dense
-		if mt == m {
-			kernel.MatrixInto(t.kbBuf, cfg.Kernel, xb, st.x) // m x n
-			kb = t.kbBuf
-			mat.MulTo(t.fBuf, kb, alpha) // m x l
-			f = t.fBuf
-		} else {
-			kb = kernel.Matrix(cfg.Kernel, xb, st.x)
-			f = mat.Mul(kb, alpha)
+		xb, kb, f := t.xbBuf, t.kbBuf, t.fBuf
+		if mt != m {
+			xb = mat.NewDenseData(mt, d, xb.Data[:mt*d])
+			kb = mat.NewDenseData(mt, n, kb.Data[:mt*n])
+			f = mat.NewDenseData(mt, l, f.Data[:mt*l])
 		}
+		st.x.SelectRowsInto(xb, batch)
+		kernel.MatrixInto(kb, cfg.Kernel, xb, st.x) // mt x n
+		mat.MulTo(f, kb, alpha)                     // mt x l
 		// Residual r = f − y_batch; accumulate pre-update loss.
 		r := f
 		for t, row := range batch {

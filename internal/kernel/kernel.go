@@ -128,7 +128,7 @@ func Family(k Func) (family string, sigma float64, err error) {
 // Small negative values from cancellation are clamped to zero.
 func PairwiseSqDist(a, b *mat.Dense) *mat.Dense {
 	d := mat.NewDense(a.Rows, b.Rows)
-	pairwiseSqDistInto(d, a, b)
+	pairwiseSqDistInto(d, a, b, nil)
 	return d
 }
 
@@ -150,8 +150,7 @@ func MatrixInto(dst *mat.Dense, k Func, a, b *mat.Dense) {
 			dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	if r, ok := k.(Radial); ok {
-		pairwiseSqDistInto(dst, a, b)
-		mat.ApplyInPlace(dst, r.OfSqDist)
+		pairwiseSqDistInto(dst, a, b, r.OfSqDist)
 		return
 	}
 	for i := 0; i < a.Rows; i++ {
@@ -163,25 +162,34 @@ func MatrixInto(dst *mat.Dense, k Func, a, b *mat.Dense) {
 	}
 }
 
-// pairwiseSqDistInto computes squared distances into dst (overwritten).
-func pairwiseSqDistInto(dst *mat.Dense, a, b *mat.Dense) {
+// pairwiseSqDistInto computes squared distances into dst (overwritten)
+// and, when f is non-nil, maps each one through f. The epilogue after the
+// inner-product GEMM runs over the same row split as the GEMM.
+func pairwiseSqDistInto(dst *mat.Dense, a, b *mat.Dense, f func(float64) float64) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("kernel: PairwiseSqDist feature dims %d vs %d", a.Cols, b.Cols))
 	}
 	an := mat.RowSumSq(a)
 	bn := mat.RowSumSq(b)
 	mat.MulTTo(dst, a, b) // inner products
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.RowView(i)
-		ai := an[i]
-		for j := range row {
-			v := ai + bn[j] - 2*row[j]
-			if v < 0 {
-				v = 0
+	mat.ParallelRows(dst.Rows, dst.Cols, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := dst.RowView(i)
+			ai := an[i]
+			for j := range row {
+				v := ai + bn[j] - 2*row[j]
+				if v < 0 {
+					v = 0
+				}
+				row[j] = v
 			}
-			row[j] = v
+			if f != nil {
+				for j, v := range row {
+					row[j] = f(v)
+				}
+			}
 		}
-	}
+	})
 }
 
 // Gram returns the symmetric kernel matrix of x against itself, with the

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,37 @@ func TestMatrixIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestMatrixIntoEpilogueBitExact checks the radial path's parallel
+// distance fix-up and kernel map against the serial per-element
+// expressions, bit for bit, at a shape that splits across workers.
+func TestMatrixIntoEpilogueBitExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(38))
+	a, b := randX(rng, 130, 9), randX(rng, 521, 9)
+	k := Laplacian{Sigma: 2}
+	an, bn := mat.RowSumSq(a), mat.RowSumSq(b)
+	want := mat.MulT(a, b)
+	for i := 0; i < want.Rows; i++ {
+		row := want.RowView(i)
+		for j := range row {
+			v := an[i] + bn[j] - 2*row[j]
+			if v < 0 {
+				v = 0
+			}
+			row[j] = k.OfSqDist(v)
+		}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := Matrix(k, a, b)
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("GOMAXPROCS=%d: element %d = %v, want %v", procs, i, got.Data[i], v)
+			}
+		}
+	}
+}
+
 func TestMatrixIntoDimPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -258,5 +290,19 @@ func TestQuickGramQuadraticFormNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkMatrixInto builds the trainer's batch kernel matrix at the
+// train-mnist shape: a 377-row batch against 2000 d=784 centres.
+func BenchmarkMatrixInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(39))
+	xb, x := randX(rng, 377, 784), randX(rng, 2000, 784)
+	dst := mat.NewDense(xb.Rows, x.Rows)
+	k := Gaussian{Sigma: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatrixInto(dst, k, xb, x)
 	}
 }

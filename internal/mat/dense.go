@@ -1,8 +1,15 @@
 // Package mat implements the dense linear algebra substrate used by the
 // EigenPro 2.0 reproduction: a row-major float64 matrix type, parallel
-// blocked matrix multiplication, elementwise and reduction operations, and
-// the factorizations (QR, Cholesky) needed by the eigensolvers and the
-// FALKON baseline.
+// matrix products, elementwise and reduction operations, and the
+// factorizations (QR, Cholesky) needed by the eigensolvers and the FALKON
+// baseline.
+//
+// The matrix products split their output rows across GOMAXPROCS
+// goroutines (ParallelRows). MulTTo, the kernel-matrix GEMM that dominates
+// training and serving, is also blocked: it tiles b's rows and computes
+// 4x2 register blocks. Each product accumulates every output over k in
+// sequential order, so results are bit-identical whatever the row split,
+// the tiling or GOMAXPROCS; bit-exact checkpoint resume relies on this.
 //
 // The package is deliberately self-contained (standard library only) since
 // the Go ecosystem offers no BLAS/GPU path for this workload; internal/device
@@ -131,10 +138,19 @@ func StackRows(rows [][]float64, cols int) *Dense {
 // SelectRows gathers the given rows of a into a new len(idx) x Cols matrix.
 func (a *Dense) SelectRows(idx []int) *Dense {
 	out := NewDense(len(idx), a.Cols)
-	for k, i := range idx {
-		copy(out.RowView(k), a.RowView(i))
-	}
+	a.SelectRowsInto(out, idx)
 	return out
+}
+
+// SelectRowsInto gathers the given rows of a into dst (len(idx) x Cols,
+// overwritten).
+func (a *Dense) SelectRowsInto(dst *Dense, idx []int) {
+	if dst.Rows != len(idx) || dst.Cols != a.Cols {
+		panic(fmt.Sprintf("mat: SelectRowsInto %d rows into %dx%d for %d cols", len(idx), dst.Rows, dst.Cols, a.Cols))
+	}
+	for k, i := range idx {
+		copy(dst.RowView(k), a.RowView(i))
+	}
 }
 
 // SelectCols gathers the given columns of a into a new Rows x len(idx)

@@ -1,7 +1,10 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -170,6 +173,105 @@ func TestQuickMulLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameBits reports the first element where got and want differ in any bit,
+// or ok when every element is identical.
+func sameBits(got, want *Dense) (i int, ok bool) {
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestMulTToBitExact pins MulTTo's contract: every output is the sequential
+// k-order dot product, so it equals MulNaive(a, bᵀ) exactly, on ragged
+// shapes around the 4x2 block and the 64-row tile, at every GOMAXPROCS and
+// every tile width. The 255/257-row cases with k=7 and 63/65 b-rows are
+// large enough to split across workers.
+func TestMulTToBitExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 255, 257} {
+		for _, m := range []int{1, 2, 3, 5, 7, 63, 65} {
+			for _, k := range []int{1, 7} {
+				a, b := randDense(rng, n, k), randDense(rng, m, k)
+				want := MulNaive(a, b.T())
+				shape := fmt.Sprintf("%dx%dx%d", n, m, k)
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					got := NewDense(n, m)
+					got.Fill(math.NaN())
+					MulTTo(got, a, b)
+					if i, ok := sameBits(got, want); !ok {
+						t.Fatalf("%s GOMAXPROCS=%d: element %d = %v, want %v", shape, procs, i, got.Data[i], want.Data[i])
+					}
+				}
+				for _, tile := range []int{1, 3, 64, m} {
+					got := NewDense(n, m)
+					mulTTRows(got, a, b, 0, n, tile)
+					if i, ok := sameBits(got, want); !ok {
+						t.Fatalf("%s tile %d: element %d = %v, want %v", shape, tile, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMulTTo checks MulTTo and every tile width against MulNaive(a, bᵀ)
+// bit for bit on fuzzed shapes and values.
+func FuzzMulTTo(f *testing.F) {
+	f.Add(uint8(5), uint8(7), uint8(3), uint8(1), int64(1))
+	f.Add(uint8(9), uint8(65), uint8(7), uint8(64), int64(2))
+	f.Fuzz(func(t *testing.T, rn, rm, rk, rtile uint8, seed int64) {
+		n, m, k := int(rn)%40+1, int(rm)%130+1, int(rk)%50+1
+		tile := int(rtile)%70 + 1
+		rng := rand.New(rand.NewSource(seed))
+		a, b := randDense(rng, n, k), randDense(rng, m, k)
+		want := MulNaive(a, b.T())
+		got := NewDense(n, m)
+		MulTTo(got, a, b)
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("%dx%dx%d: element %d = %v, want %v", n, m, k, i, got.Data[i], want.Data[i])
+		}
+		got.Zero()
+		mulTTRows(got, a, b, 0, n, tile)
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("%dx%dx%d tile %d: element %d = %v, want %v", n, m, k, tile, i, got.Data[i], want.Data[i])
+		}
+	})
+}
+
+// BenchmarkMulTTo runs MulTTo at the shapes the system runs it at: the
+// trainer's batch distance GEMM (m x n x d), the spectrum's Gram matrix on
+// its subsample, and serving batches of 1 and 32 rows against a 4000-centre
+// d=256 model.
+func BenchmarkMulTTo(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n, m, k int
+	}{
+		{"train-377x2000x784", 377, 2000, 784},
+		{"gram-500x500x784", 500, 500, 784},
+		{"serve-1x4000x256", 1, 4000, 256},
+		{"serve-32x4000x256", 32, 4000, 256},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(10))
+			x, y := randDense(rng, c.n, c.k), randDense(rng, c.m, c.k)
+			dst := NewDense(c.n, c.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulTTo(dst, x, y)
+			}
+			flops := 2 * float64(c.n) * float64(c.m) * float64(c.k) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
