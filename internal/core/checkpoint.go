@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"eigenpro/internal/device"
 	"eigenpro/internal/mat"
 )
 
@@ -30,20 +29,11 @@ import (
 type checkpointWire struct {
 	Version int
 
-	// Config scalars (the non-serializable ValX/ValLabels/OnEpoch fields
-	// are re-supplied by the ResumeTrainer caller).
-	Method       int
-	S, QMax, Q   int
-	Batch        int
-	Eta          float64
-	Epochs       int
-	MaxIters     int
-	StopTrainMSE float64
-	Patience     int
-	Seed         int64
+	// Config fields (the non-serializable ValX/ValLabels/OnEpoch fields
+	// are re-supplied by the ResumeTrainer caller), including the device.
+	ConfigWire
 
-	// Device model and workload shape.
-	Device  device.Device
+	// Workload shape.
 	N, D, L int
 
 	// Expensive precomputation.
@@ -64,30 +54,24 @@ type checkpointWire struct {
 	Done         bool
 }
 
+// checkpointVersion is the current snapshot layout; version 1 listed the
+// Config fields flat instead of embedding ConfigWire.
+const checkpointVersion = 2
+
 // Checkpoint writes a resumable snapshot of the trainer to w. It must be
 // called between steps (the trainer only exists at epoch boundaries from
 // the caller's point of view). The kernel must be one of the serializable
 // families (see SaveModel).
 func (t *Trainer) Checkpoint(w io.Writer) error {
 	cfg := t.st.cfg
+	cfg.Device = t.dev
 	spWire, err := spectrumWireOf(t.st.sp)
 	if err != nil {
 		return fmt.Errorf("core: Checkpoint: %w", err)
 	}
 	wire := checkpointWire{
-		Version:      wireVersion,
-		Method:       int(cfg.Method),
-		S:            cfg.S,
-		QMax:         cfg.QMax,
-		Q:            cfg.Q,
-		Batch:        cfg.Batch,
-		Eta:          cfg.Eta,
-		Epochs:       cfg.Epochs,
-		MaxIters:     cfg.MaxIters,
-		StopTrainMSE: cfg.StopTrainMSE,
-		Patience:     cfg.Patience,
-		Seed:         cfg.Seed,
-		Device:       *t.dev,
+		Version:      checkpointVersion,
+		ConfigWire:   configWireOf(cfg),
 		N:            t.n,
 		D:            t.d,
 		L:            t.l,
@@ -124,7 +108,7 @@ func ResumeTrainer(r io.Reader, cfg Config, x, y *mat.Dense) (*Trainer, error) {
 	if err := gob.NewDecoder(r).Decode(&w); err != nil {
 		return nil, fmt.Errorf("core: ResumeTrainer: %w", err)
 	}
-	if w.Version != wireVersion {
+	if w.Version != 1 && w.Version != checkpointVersion {
 		return nil, fmt.Errorf("core: ResumeTrainer: unsupported version %d", w.Version)
 	}
 	sp, err := w.Spectrum.spectrum()
@@ -138,25 +122,10 @@ func ResumeTrainer(r io.Reader, cfg Config, x, y *mat.Dense) (*Trainer, error) {
 		return nil, fmt.Errorf("core: ResumeTrainer: data %dx%d/%dx%d does not match checkpointed %dx%d/%dx%d",
 			x.Rows, x.Cols, y.Rows, y.Cols, w.N, w.D, w.N, w.L)
 	}
-	dev := w.Device
-	resumed := Config{
-		Kernel:       sp.Kern,
-		Device:       &dev,
-		Method:       Method(w.Method),
-		S:            w.S,
-		QMax:         w.QMax,
-		Q:            w.Q,
-		Batch:        w.Batch,
-		Eta:          w.Eta,
-		Epochs:       w.Epochs,
-		MaxIters:     w.MaxIters,
-		StopTrainMSE: w.StopTrainMSE,
-		ValX:         cfg.ValX,
-		ValLabels:    cfg.ValLabels,
-		Patience:     w.Patience,
-		Seed:         w.Seed,
-		Spectrum:     sp,
-	}
+	resumed := w.config()
+	resumed.Kernel = sp.Kern
+	resumed.Spectrum = sp
+	resumed.ValX, resumed.ValLabels = cfg.ValX, cfg.ValLabels
 	t, err := NewTrainer(resumed, x, y)
 	if err != nil {
 		return nil, fmt.Errorf("core: ResumeTrainer: %w", err)

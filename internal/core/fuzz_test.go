@@ -128,3 +128,41 @@ func FuzzResumeTrainer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadRun hardens the run-spec decoder: arbitrary bytes must error or
+// yield matrices whose shapes agree, never panic.
+func FuzzLoadRun(f *testing.F) {
+	ds, val := data.SUSYLike(24, 5), data.SUSYLike(6, 6)
+	cfg := Config{Kernel: kernel.Gaussian{Sigma: 2}, Epochs: 2, S: 8, Seed: 5, ValX: val.X, ValLabels: val.Labels}
+	var buf bytes.Buffer
+	if err := SaveRun(&buf, cfg, ds.X, ds.Y); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	corrupt := append([]byte(nil), valid...)
+	corrupt[len(corrupt)/3] ^= 0xff
+	f.Add(corrupt)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cfg, x, y, err := LoadRun(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if cfg.Kernel == nil || x == nil || y == nil {
+			t.Fatal("accepted run with nil pieces")
+		}
+		if x.Rows != y.Rows || len(x.Data) != x.Rows*x.Cols || len(y.Data) != y.Rows*y.Cols {
+			t.Fatalf("accepted run with %dx%d inputs (%d elements), %dx%d targets (%d elements)",
+				x.Rows, x.Cols, len(x.Data), y.Rows, y.Cols, len(y.Data))
+		}
+		if v := cfg.ValX; v != nil {
+			if v.Cols != x.Cols || len(v.Data) != v.Rows*v.Cols {
+				t.Fatalf("accepted %dx%d validation set (%d elements) for %d features", v.Rows, v.Cols, len(v.Data), x.Cols)
+			}
+			if len(cfg.ValLabels) > 0 && len(cfg.ValLabels) != v.Rows {
+				t.Fatalf("accepted %d validation rows with %d labels", v.Rows, len(cfg.ValLabels))
+			}
+		}
+	})
+}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"eigenpro/internal/kernel"
 	"eigenpro/internal/mat"
@@ -42,10 +40,12 @@ func (m *Model) Predict(xq *mat.Dense) *mat.Dense {
 const defaultPredictChunk = 2048
 
 // PredictBatch evaluates the model on the rows of xq in row chunks of the
-// given size (<= 0 selects the default), fanning independent chunks out to
-// parallel goroutines. Each chunk is one blocked kernel-GEMM evaluation:
-// a chunk x n kernel matrix followed by a chunk x l coefficient product.
-// This is the serving fast path; Predict delegates to it.
+// given size (<= 0 selects the default). Each chunk is one blocked
+// kernel-GEMM evaluation: a chunk x n kernel matrix followed by a chunk x l
+// coefficient product. The kernel and GEMM primitives already spread each
+// chunk over every core, so chunks run one after another through one
+// kernel-matrix buffer and peak memory stays at chunk·n floats. This is the
+// serving fast path; Predict delegates to it.
 func (m *Model) PredictBatch(xq *mat.Dense, chunk int) *mat.Dense {
 	if xq.Cols != m.X.Cols {
 		panic(fmt.Sprintf("core: Predict on %d features, model has %d", xq.Cols, m.X.Cols))
@@ -57,43 +57,27 @@ func (m *Model) PredictBatch(xq *mat.Dense, chunk int) *mat.Dense {
 	if xq.Rows == 0 {
 		return out
 	}
+	kb := mat.NewDense(min(xq.Rows, chunk), m.X.Rows)
 	if xq.Rows <= chunk {
-		m.predictChunkInto(out, xq)
+		// A serving batch is one chunk: no row views, so it allocates only
+		// kb and out.
+		m.predictChunkInto(out, kb, xq)
 		return out
 	}
-	// The kernel and GEMM primitives already fan each chunk out across
-	// GOMAXPROCS row workers, so chunk-level concurrency only buys overlap
-	// of their serial sections. Cap it low: more would oversubscribe the
-	// scheduler (up to GOMAXPROCS² runnable goroutines) and multiply peak
-	// kernel-matrix memory, which stays at O(cap · chunk · n) floats.
-	maxInflight := runtime.GOMAXPROCS(0)
-	if maxInflight > 4 {
-		maxInflight = 4
-	}
-	sem := make(chan struct{}, maxInflight)
-	var wg sync.WaitGroup
 	for lo := 0; lo < xq.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > xq.Rows {
-			hi = xq.Rows
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			src := mat.NewDenseData(hi-lo, xq.Cols, xq.Data[lo*xq.Cols:hi*xq.Cols])
-			dst := mat.NewDenseData(hi-lo, out.Cols, out.Data[lo*out.Cols:hi*out.Cols])
-			m.predictChunkInto(dst, src)
-		}(lo, hi)
+		hi := min(lo+chunk, xq.Rows)
+		m.predictChunkInto(
+			mat.NewDenseData(hi-lo, out.Cols, out.Data[lo*out.Cols:hi*out.Cols]),
+			mat.NewDenseData(hi-lo, kb.Cols, kb.Data[:(hi-lo)*kb.Cols]),
+			mat.NewDenseData(hi-lo, xq.Cols, xq.Data[lo*xq.Cols:hi*xq.Cols]))
 	}
-	wg.Wait()
 	return out
 }
 
-// predictChunkInto computes dst = K(block, X) · Alpha for one row block.
-func (m *Model) predictChunkInto(dst, block *mat.Dense) {
-	kb := kernel.Matrix(m.Kern, block, m.X)
+// predictChunkInto computes dst = K(block, X) · Alpha for one row block,
+// building the kernel matrix in kb (block.Rows x n, overwritten).
+func (m *Model) predictChunkInto(dst, kb, block *mat.Dense) {
+	kernel.MatrixInto(kb, m.Kern, block, m.X)
 	mat.MulTo(dst, kb, m.Alpha)
 }
 

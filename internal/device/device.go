@@ -172,10 +172,6 @@ func (d *Device) ServeBatch(n, dim, labels int) int {
 	return m
 }
 
-// Fits reports whether a working set of the given float64 count fits in
-// device memory.
-func (d *Device) Fits(floats int64) bool { return floats <= d.MemoryFloats }
-
 // Clock accumulates simulated execution time and operation counts for a
 // sequence of iterations on a device. All methods are safe for concurrent
 // use, so a metrics scrape can read a clock that serving workers are

@@ -121,13 +121,6 @@ func TestMaxBatchIsMinClamped(t *testing.T) {
 	}
 }
 
-func TestFits(t *testing.T) {
-	d := testDevice()
-	if !d.Fits(1e6) || d.Fits(1e6+1) {
-		t.Fatal("Fits boundary wrong")
-	}
-}
-
 func TestSimTitanXpPreset(t *testing.T) {
 	d := SimTitanXp()
 	if d.Mode != Parallel {

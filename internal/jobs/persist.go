@@ -16,6 +16,10 @@ package jobs
 //	                                     replaced at each checkpoint)
 //	<state-dir>/jobs/<id>/model.gob      finished model (sealed)
 //
+// This package decides paths, sealing and the journal only; the payloads
+// are encoded by core: spec.gob by core.SaveRun, checkpoint.gob by
+// core.Trainer.Checkpoint, model.gob by core.SaveModel.
+//
 // Crash-consistency contract: the journal decides each job's *state*;
 // the checkpoint file is the trusted *progress*. Because the checkpoint
 // is replaced atomically and verified on read, replaying "the last state
@@ -25,13 +29,13 @@ package jobs
 // model is durably sealed, so completion is never claimed for a model
 // that cannot be reloaded.
 //
-// Not persisted (documented limits): Spec.Config.OnEpoch (a function)
-// and Spec.Config.Spectrum (recomputed deterministically from Seed; the
-// in-flight spectrum rides inside the trainer checkpoint instead).
+// Not in spec.gob (documented limits): Spec.Config.OnEpoch (a function),
+// Spec.Config.Spectrum (recomputed deterministically from Seed; the
+// in-flight spectrum rides inside the trainer checkpoint instead), and
+// Spec.Name (recovered from the journal's "submitted" record).
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,10 +46,7 @@ import (
 	"time"
 
 	"eigenpro/internal/core"
-	"eigenpro/internal/device"
 	"eigenpro/internal/durable"
-	"eigenpro/internal/kernel"
-	"eigenpro/internal/mat"
 	"eigenpro/internal/obs"
 )
 
@@ -165,167 +166,35 @@ func (s *store) close() {
 	}
 }
 
-// specVersion guards the sealed spec.gob layout.
-const specVersion = 1
-
-// denseWire is the serializable form of mat.Dense with decode-time shape
-// validation (a corrupt-but-checksummed file cannot happen, but a
-// version-drifted one can).
-type denseWire struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-func wireOf(d *mat.Dense) denseWire {
-	if d == nil {
-		return denseWire{}
-	}
-	return denseWire{Rows: d.Rows, Cols: d.Cols, Data: d.Data}
-}
-
-func (w denseWire) dense() (*mat.Dense, error) {
-	if w.Rows < 0 || w.Cols < 0 || len(w.Data) != w.Rows*w.Cols {
-		return nil, fmt.Errorf("jobs: decode matrix: %d elements for %dx%d", len(w.Data), w.Rows, w.Cols)
-	}
-	if w.Rows == 0 && w.Cols == 0 {
-		return mat.NewDense(0, 0), nil
-	}
-	return mat.NewDenseData(w.Rows, w.Cols, w.Data), nil
-}
-
-// specWire is the sealed on-disk layout of a Spec: everything a restart
-// needs to reconstruct the identical training run. The kernel is stored
-// by (family, sigma) via kernel.Family — the same convention as the
-// model gob format — so an unserializable custom kernel is rejected at
-// Submit-persist time, not discovered at recovery.
-type specWire struct {
-	Version      int
-	Name         string
-	KernelFamily string
-	KernelSigma  float64
-	HasDevice    bool
-	Device       device.Device
-	Method       int
-	S            int
-	QMax         int
-	Q            int
-	Batch        int
-	Eta          float64
-	Epochs       int
-	MaxIters     int
-	StopTrainMSE float64
-	Patience     int
-	Seed         int64
-	X, Y         denseWire
-	HasValX      bool
-	ValX         denseWire
-	ValLabels    []int
-}
-
 func (s *store) specPath(id string) string { return filepath.Join(s.jobDir(id), "spec.gob") }
 func (s *store) ckptPath(id string) string { return filepath.Join(s.jobDir(id), "checkpoint.gob") }
 func (s *store) modelPath(id string) string {
 	return filepath.Join(s.jobDir(id), "model.gob")
 }
 
+// saveSpec seals the job's run inputs; core owns the encoding. The model
+// name is not stored here: it rides on the journal's "submitted" record.
 func (s *store) saveSpec(id string, spec Spec) error {
-	family, sigma, err := kernel.Family(spec.Config.Kernel)
-	if err != nil {
-		return err
-	}
-	w := specWire{
-		Version:      specVersion,
-		Name:         spec.Name,
-		KernelFamily: family,
-		KernelSigma:  sigma,
-		Method:       int(spec.Config.Method),
-		S:            spec.Config.S,
-		QMax:         spec.Config.QMax,
-		Q:            spec.Config.Q,
-		Batch:        spec.Config.Batch,
-		Eta:          spec.Config.Eta,
-		Epochs:       spec.Config.Epochs,
-		MaxIters:     spec.Config.MaxIters,
-		StopTrainMSE: spec.Config.StopTrainMSE,
-		Patience:     spec.Config.Patience,
-		Seed:         spec.Config.Seed,
-		X:            wireOf(spec.X),
-		Y:            wireOf(spec.Y),
-		ValLabels:    spec.Config.ValLabels,
-	}
-	if spec.Config.Device != nil {
-		w.HasDevice, w.Device = true, *spec.Config.Device
-	}
-	if spec.Config.ValX != nil {
-		w.HasValX, w.ValX = true, wireOf(spec.Config.ValX)
-	}
 	if err := s.fsys.MkdirAll(s.jobDir(id), 0o755); err != nil {
 		return err
 	}
-	return durable.WriteFileWith(s.fsys, s.specPath(id), func(wr io.Writer) error {
-		return gob.NewEncoder(wr).Encode(w)
+	return durable.WriteFileWith(s.fsys, s.specPath(id), func(w io.Writer) error {
+		return core.SaveRun(w, spec.Config, spec.X, spec.Y)
 	})
 }
 
+// loadSpec reads back a sealed spec; the caller restores Spec.Name from
+// the journal.
 func (s *store) loadSpec(id string) (Spec, error) {
 	payload, err := durable.ReadFile(s.fsys, s.specPath(id))
 	if err != nil {
 		return Spec{}, err
 	}
-	var w specWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return Spec{}, fmt.Errorf("jobs: decode spec: %w", err)
-	}
-	if w.Version != specVersion {
-		return Spec{}, fmt.Errorf("jobs: spec version %d unsupported", w.Version)
-	}
-	k, err := kernel.ByName(w.KernelFamily, w.KernelSigma)
-	if err != nil {
-		return Spec{}, fmt.Errorf("jobs: decode spec: %w", err)
-	}
-	x, err := w.X.dense()
+	cfg, x, y, err := core.LoadRun(bytes.NewReader(payload))
 	if err != nil {
 		return Spec{}, err
 	}
-	y, err := w.Y.dense()
-	if err != nil {
-		return Spec{}, err
-	}
-	if x.Rows != y.Rows {
-		return Spec{}, fmt.Errorf("jobs: decode spec: %d samples with %d target rows", x.Rows, y.Rows)
-	}
-	spec := Spec{
-		Name: w.Name,
-		X:    x,
-		Y:    y,
-		Config: core.Config{
-			Kernel:       k,
-			Method:       core.Method(w.Method),
-			S:            w.S,
-			QMax:         w.QMax,
-			Q:            w.Q,
-			Batch:        w.Batch,
-			Eta:          w.Eta,
-			Epochs:       w.Epochs,
-			MaxIters:     w.MaxIters,
-			StopTrainMSE: w.StopTrainMSE,
-			Patience:     w.Patience,
-			Seed:         w.Seed,
-			ValLabels:    w.ValLabels,
-		},
-	}
-	if w.HasDevice {
-		dev := w.Device
-		spec.Config.Device = &dev
-	}
-	if w.HasValX {
-		valX, err := w.ValX.dense()
-		if err != nil {
-			return Spec{}, err
-		}
-		spec.Config.ValX = valX
-	}
-	return spec, nil
+	return Spec{Config: cfg, X: x, Y: y}, nil
 }
 
 func (s *store) saveCheckpoint(id string, t *core.Trainer) error {
@@ -554,6 +423,7 @@ func (m *Manager) recoverSpec(j *job, id string) bool {
 		m.recoveryFail(j, fmt.Errorf("recovery: load spec: %w", err))
 		return false
 	}
+	spec.Name = j.info.Name
 	j.spec = spec
 	j.info.Epochs = spec.Config.Epochs
 	return true

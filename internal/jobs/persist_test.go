@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,8 +10,11 @@ import (
 	"time"
 
 	"eigenpro/internal/core"
+	"eigenpro/internal/data"
+	"eigenpro/internal/device"
 	"eigenpro/internal/durable"
 	"eigenpro/internal/fault"
+	"eigenpro/internal/kernel"
 	"eigenpro/internal/obs"
 )
 
@@ -330,6 +335,130 @@ func TestRecoveryRejectsCorruptArtifacts(t *testing.T) {
 	reg.mu.Unlock()
 	if registered != 0 {
 		t.Fatal("corrupt model was registered for serving")
+	}
+
+	// A sealed spec whose X header claims 4x2^62 with no data: 4·2^62
+	// wraps to 0 elements, so only an overflow guard rejects it. Recovery
+	// must fail the job, never requeue it into a trainer that would try
+	// to allocate that matrix.
+	hostile := t.TempDir()
+	jr, _, err := durable.OpenJournal(durable.OS{}, filepath.Join(hostile, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Append(journalRecord{Type: recSubmitted, Job: "job-1", Name: "hostile", At: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	type matrix struct {
+		Rows, Cols int
+		Data       []float64
+	}
+	type flatSpec struct {
+		Version      int
+		KernelFamily string
+		KernelSigma  float64
+		Epochs       int
+		X, Y         matrix
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(flatSpec{
+		Version: 1, KernelFamily: "gaussian", KernelSigma: 3, Epochs: 2,
+		X: matrix{Rows: 4, Cols: 1 << 62},
+		Y: matrix{Rows: 4, Cols: 1, Data: make([]float64, 4)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(hostile, "jobs", "job-1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteFile(durable.OS{}, filepath.Join(hostile, "jobs", "job-1", "spec.gob"), payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	mD, err := Open(Config{Workers: 1, StateDir: hostile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mD.Close()
+	info, ok = mD.Job("job-1")
+	if !ok || info.State != StateFailed || !strings.Contains(info.Error, "recovery") || info.Resumes != 0 {
+		t.Fatalf("overflowing-spec job: %+v", info)
+	}
+}
+
+// TestRecoverVersion1StateDir recovers a state directory written by the
+// version-1 (flat) spec and checkpoint layouts: a job interrupted after
+// epoch 1 of 4, with a custom device and a validation set. The resumed
+// run must finish bit-identical to core.Train on the same spec, which
+// also proves the device and the validation set decoded.
+//
+// testdata/statedir-v1 holds the journal, spec.gob and checkpoint.gob
+// exactly as that format's manager sealed them.
+func TestRecoverVersion1StateDir(t *testing.T) {
+	spec := v1FixtureSpec()
+	ref, err := core.Train(spec.Config, spec.X, spec.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "statedir-v1")
+	for _, f := range []string{"journal.jsonl", "jobs/job-1/spec.gob", "jobs/job-1/checkpoint.gob"} {
+		raw, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(dir, f)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := &countingRegistrar{}
+	m, err := Open(Config{Workers: 1, StateDir: dir, Registrar: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	info, ok := m.Job("job-1")
+	if !ok || !info.Recovered || !info.Checkpointed || info.Epoch != 1 {
+		t.Fatalf("recovered job: %+v", info)
+	}
+	final, err := m.Wait("job-1")
+	if err != nil || final.State != StateDone || final.Name != spec.Name {
+		t.Fatalf("recovered job ended %+v err=%v", final, err)
+	}
+	got, _ := m.Model("job-1")
+	assertBitIdentical(t, got, ref.Model, "version-1 state dir")
+}
+
+// v1FixtureSpec is the spec testdata/statedir-v1 was written from. Its
+// device has a small C_G, so losing the device on decode would change
+// the batch size and break bit-identity.
+func v1FixtureSpec() Spec {
+	ds := data.SUSYLike(160, 21)
+	val := data.SUSYLike(40, 22)
+	dev := device.SimTitanXp()
+	dev.Name = "fixture-device"
+	dev.ParallelOps = 1e5
+	return Spec{
+		Name: "fixture",
+		Config: core.Config{
+			Kernel:       kernel.Gaussian{Sigma: 3},
+			Device:       dev,
+			S:            48,
+			QMax:         12,
+			Epochs:       4,
+			MaxIters:     10000,
+			StopTrainMSE: 1e-12,
+			ValX:         val.X,
+			ValLabels:    val.Labels,
+			Patience:     10,
+			Seed:         21,
+		},
+		X: ds.X,
+		Y: ds.Y,
 	}
 }
 

@@ -46,26 +46,3 @@ func ClassificationError(pred *mat.Dense, labels []int) float64 {
 	}
 	return float64(wrong) / float64(pred.Rows)
 }
-
-// Accuracy returns 1 − ClassificationError.
-func Accuracy(pred *mat.Dense, labels []int) float64 {
-	return 1 - ClassificationError(pred, labels)
-}
-
-// BinaryErrorFromSign returns the misclassification rate of sign
-// predictions against ±1 labels; zero scores count as wrong.
-func BinaryErrorFromSign(scores []float64, labels []float64) float64 {
-	if len(scores) != len(labels) {
-		panic(fmt.Sprintf("metrics: %d scores for %d labels", len(scores), len(labels)))
-	}
-	if len(scores) == 0 {
-		return 0
-	}
-	wrong := 0
-	for i, s := range scores {
-		if s*labels[i] <= 0 {
-			wrong++
-		}
-	}
-	return float64(wrong) / float64(len(scores))
-}

@@ -42,25 +42,10 @@ func TestClassificationError(t *testing.T) {
 	if got := ClassificationError(pred, []int{0, 1, 1}); math.Abs(got-1.0/3) > 1e-15 {
 		t.Fatalf("error = %v, want 1/3", got)
 	}
-	if got := Accuracy(pred, []int{0, 1, 1}); math.Abs(got-2.0/3) > 1e-15 {
-		t.Fatalf("accuracy = %v, want 2/3", got)
-	}
 }
 
 func TestClassificationErrorEmpty(t *testing.T) {
 	if got := ClassificationError(mat.NewDense(0, 2), nil); got != 0 {
 		t.Fatalf("empty error = %v", got)
-	}
-}
-
-func TestBinaryErrorFromSign(t *testing.T) {
-	scores := []float64{2.5, -1, 0, 0.1}
-	labels := []float64{1, 1, 1, 1}
-	// -1 wrong, 0 counts wrong, others right -> 2/4.
-	if got := BinaryErrorFromSign(scores, labels); got != 0.5 {
-		t.Fatalf("binary error = %v, want 0.5", got)
-	}
-	if got := BinaryErrorFromSign(nil, nil); got != 0 {
-		t.Fatalf("empty binary error = %v", got)
 	}
 }
