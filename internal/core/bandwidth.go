@@ -136,7 +136,7 @@ func GaussianBandwidthLadder(x *mat.Dense, rungs int, seed int64) []kernel.Func 
 	}
 	out := make([]kernel.Func, rungs)
 	for i := range out {
-		factor := math.Pow(2, float64(i)-float64(rungs-1)/2)
+		factor := math.Pow(2, float64(i)-float64(float64(rungs-1)/2))
 		out[i] = kernel.Gaussian{Sigma: med * factor}
 	}
 	return out

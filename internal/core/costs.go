@@ -11,7 +11,7 @@ package core
 // n·m·(d+l) — evaluating the kernel rows (n·m·d) and the predictions
 // (n·m·l).
 func SGDIterOps(n, m, d, l int) float64 {
-	return float64(n) * float64(m) * float64(d+l)
+	return float64(float64(n) * float64(m) * float64(d+l))
 }
 
 // PredictOps returns the operations of one blocked kernel-GEMM prediction
@@ -23,14 +23,14 @@ func PredictOps(n, m, d, l int) float64 { return SGDIterOps(n, m, d, l) }
 // ImprovedEigenProIterOps returns the operations of one improved EigenPro
 // (Algorithm 1) iteration: SGD cost plus the s·m·q fixed-block correction.
 func ImprovedEigenProIterOps(n, m, d, l, s, q int) float64 {
-	return SGDIterOps(n, m, d, l) + float64(s)*float64(m)*float64(q)
+	return SGDIterOps(n, m, d, l) + float64(float64(s)*float64(m)*float64(q))
 }
 
 // OriginalEigenProIterOps returns the operations of one original (2017)
 // EigenPro iteration: SGD cost plus the n·m·q eigenfunction evaluation
 // against full-size coefficient vectors.
 func OriginalEigenProIterOps(n, m, d, l, q int) float64 {
-	return SGDIterOps(n, m, d, l) + float64(n)*float64(m)*float64(q)
+	return SGDIterOps(n, m, d, l) + float64(float64(n)*float64(m)*float64(q))
 }
 
 // SGDMemoryFloats returns the working-set size of SGD: n·(m+d+l) — training

@@ -42,7 +42,7 @@ func BetaPrecond(sp *Spectrum, q int) float64 {
 		drop := 0.0
 		for j := 0; j < q; j++ {
 			v := sp.V.At(i, j)
-			drop += (sp.Sigma[j] - sigQ) * v * v
+			drop += float64((sp.Sigma[j] - sigQ) * v * v)
 		}
 		if d := sp.Beta - drop; d > best {
 			best = d
@@ -77,7 +77,7 @@ func BetaPrecondAt(sp *Spectrum, q int, x *mat.Dense) float64 {
 		diag := sp.Kern.Eval(x.RowView(i), x.RowView(i))
 		row := e.RowView(i)
 		for j := 0; j < q; j++ {
-			diag -= (sp.Lambda(j+1) - lamQ) * row[j] * row[j]
+			diag -= float64((sp.Lambda(j+1) - lamQ) * row[j] * row[j])
 		}
 		if diag > best {
 			best = diag
@@ -160,7 +160,7 @@ func StepSize(m int, beta, lambdaTop float64) float64 {
 	if m < 1 {
 		panic(fmt.Sprintf("core: StepSize m=%d", m))
 	}
-	den := 2 * (beta + float64(m-1)*lambdaTop)
+	den := 2 * (beta + float64(float64(m-1)*lambdaTop))
 	if den <= 0 {
 		panic(fmt.Sprintf("core: StepSize with beta=%v lambdaTop=%v", beta, lambdaTop))
 	}

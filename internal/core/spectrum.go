@@ -120,19 +120,19 @@ func (sp *Spectrum) EigenfunctionValues(x *mat.Dense, q int) *mat.Dense {
 		panic(fmt.Sprintf("core: EigenfunctionValues q=%d out of [0,%d]", q, sp.QMax()))
 	}
 	phi := kernel.Matrix(sp.Kern, x, sp.Xsub) // n x s
-	idx := make([]int, q)
-	for i := range idx {
-		idx[i] = i
-	}
-	e := mat.Mul(phi, sp.V.SelectCols(idx)) // n x q, = φᵀ v_i
+	// e[j,i] = φ(x_j)ᵀ v_i, through the blocked MulTTo with v_1..v_q as rows.
+	e := mat.MulT(phi, sp.V.T().SliceRows(0, q))
 	sqrtS := sqrtFloat(float64(sp.S()))
-	for j := 0; j < q; j++ {
-		var scale float64
+	scale := make([]float64, q)
+	for j := range scale {
 		if sp.Sigma[j] > 0 {
-			scale = sqrtS / sp.Sigma[j]
+			scale[j] = sqrtS / sp.Sigma[j]
 		}
-		for i := 0; i < e.Rows; i++ {
-			e.Set(i, j, e.At(i, j)*scale)
+	}
+	for i := 0; i < e.Rows; i++ {
+		row := e.RowView(i)
+		for j, sc := range scale {
+			row[j] *= sc
 		}
 	}
 	return e

@@ -145,6 +145,43 @@ func TestEigenfunctionValuesNormalization(t *testing.T) {
 	}
 }
 
+// TestEigenfunctionValuesBitExact pins the β probe's product to the
+// column-major form it replaced: Mul(φ, V_q), then each column scaled by
+// √s/σ_i, bit for bit.
+func TestEigenfunctionValuesBitExact(t *testing.T) {
+	ds := testDataset(300)
+	k := kernel.Gaussian{Sigma: 4}
+	sp, err := EstimateSpectrum(k, ds.X, 150, 40, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []int{0, 1, 7, 40} {
+		idx := make([]int, q)
+		for i := range idx {
+			idx[i] = i
+		}
+		want := mat.Mul(kernel.Matrix(k, ds.X, sp.Xsub), sp.V.SelectCols(idx))
+		for j := 0; j < q; j++ {
+			var scale float64
+			if sp.Sigma[j] > 0 {
+				scale = math.Sqrt(float64(sp.S())) / sp.Sigma[j]
+			}
+			for i := 0; i < want.Rows; i++ {
+				want.Set(i, j, want.At(i, j)*scale)
+			}
+		}
+		got := sp.EigenfunctionValues(ds.X, q)
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("q=%d: got %dx%d, want %dx%d", q, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("q=%d: element %d = %v, want %v", q, i, got.Data[i], v)
+			}
+		}
+	}
+}
+
 func TestEigenfunctionMercerReconstruction(t *testing.T) {
 	// Σ_i λ_i e_i(x) e_i(z) with all s eigenpairs reconstructs k(x,z) on
 	// the subsample.

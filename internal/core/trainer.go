@@ -514,7 +514,7 @@ func (t *Trainer) Step() (EpochStats, error) {
 			rRow := r.RowView(t)
 			for j := range rRow {
 				rRow[j] -= yRow[j]
-				sumSq += rRow[j] * rRow[j]
+				sumSq += float64(rRow[j] * rRow[j])
 			}
 		}
 		count += mt * l

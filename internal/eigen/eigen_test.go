@@ -3,6 +3,7 @@ package eigen
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,116 @@ func TestTopQDeterministicForSeed(t *testing.T) {
 	for i := range s1.Values {
 		if s1.Values[i] != s2.Values[i] {
 			t.Fatal("TopQSym not deterministic for fixed seed")
+		}
+	}
+}
+
+// columnTopQSym is TopQSym as it ran on the column-major basis Q (n x b),
+// kept as the reference TopQSym must equal bit for bit: Mul for A Q and the
+// Ritz vectors, TMul for Qᵀ A Q. Its Gram-Schmidt runs down the columns
+// (TestOrthonormalizeRowsBitExact in internal/mat pins that
+// OrthonormalizeRows on Qᵀ equals it).
+func columnTopQSym(a *mat.Dense, q, iters, over int, seed int64) (*System, error) {
+	n := a.Rows
+	if q+over > n {
+		over = n - q
+	}
+	b := q + over
+	orth := func(x *mat.Dense) *mat.Dense {
+		xt := x.T()
+		mat.OrthonormalizeRows(xt)
+		return xt.T()
+	}
+	rng := rand.New(rand.NewSource(seed))
+	probe := mat.NewDense(n, b)
+	for i := range probe.Data {
+		probe.Data[i] = rng.NormFloat64()
+	}
+	qblock := orth(probe)
+	for it := 0; it < iters; it++ {
+		qblock = orth(mat.Mul(a, qblock))
+	}
+	small, err := Sym(mat.TMul(qblock, mat.Mul(a, qblock)))
+	if err != nil {
+		return nil, err
+	}
+	top := small.TopQ(q)
+	return &System{Values: top.Values, Vectors: mat.Mul(qblock, top.Vectors)}, nil
+}
+
+// gaussGram returns the Gaussian kernel matrix of n random points in d
+// dimensions at bandwidth sigma; a small sigma underflows far pairs to
+// exact zeros, which the column-major Mul skipped.
+func gaussGram(rng *rand.Rand, n, d int, sigma float64) *mat.Dense {
+	x := mat.NewDense(n, d)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	a := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, math.Exp(-mat.SqDist(x.RowView(i), x.RowView(j))/float64(2*sigma*sigma)))
+		}
+	}
+	return a
+}
+
+// TestTopQSymBitExact pins the row-major subspace iteration to the
+// column-major one it replaced: the same values and vectors bit for bit,
+// at the set-up's shapes and at GOMAXPROCS 1, 2 and 8.
+func TestTopQSymBitExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(27))
+	type qover struct{ q, over int }
+	set := []qover{{1, 0}, {7, 10}, {79, 20}}
+	inputs := []struct {
+		name  string
+		a     *mat.Dense
+		cases []qover
+	}{
+		{"gauss-401", gaussGram(rng, 401, 6, 2), set},
+		{"sparse-gauss-500", gaussGram(rng, 500, 6, 0.1), set},
+		{"psd-500", randPSD(rng, 500), set},
+		// The oversampling clamps to n-q, so the block is the whole space.
+		{"psd-61", randPSD(rng, 61), []qover{{58, 20}, {61, 0}}},
+	}
+	for _, in := range inputs {
+		for _, c := range in.cases {
+			want, err := columnTopQSym(in.a, c.q, 2, c.over, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				got, err := TopQSym(in.a, c.q, TopQOptions{Iters: 2, Oversample: c.over, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range want.Values {
+					if math.Float64bits(got.Values[i]) != math.Float64bits(v) {
+						t.Fatalf("%s q=%d GOMAXPROCS=%d: value %d = %v, want %v", in.name, c.q, procs, i, got.Values[i], v)
+					}
+				}
+				for i, v := range want.Vectors.Data {
+					if math.Float64bits(got.Vectors.Data[i]) != math.Float64bits(v) {
+						t.Fatalf("%s q=%d GOMAXPROCS=%d: vector element %d = %v, want %v", in.name, c.q, procs, i, got.Vectors.Data[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTopQSym runs TopQSym at the spectrum set-up's shape: a 500x500
+// subsample kernel matrix, q=125 with 20 oversampling directions and 12
+// iterations.
+func BenchmarkTopQSym(b *testing.B) {
+	a := randPSD(rand.New(rand.NewSource(28)), 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopQSym(a, 125, TopQOptions{Iters: 12, Oversample: 20, Seed: 1}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

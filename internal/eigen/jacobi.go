@@ -30,7 +30,7 @@ func Jacobi(a *mat.Dense) (*System, error) {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+				off += float64(w.At(i, j) * w.At(i, j))
 			}
 		}
 		if off < 1e-28*(1+w.FrobeniusNorm()) {
@@ -44,27 +44,27 @@ func Jacobi(a *mat.Dense) (*System, error) {
 				}
 				app, aqq := w.At(p, p), w.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := 1.0 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				t := 1.0 / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
 				if theta < 0 {
 					t = -t
 				}
-				c := 1.0 / math.Sqrt(t*t+1)
+				c := 1.0 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				// Apply rotation G(p,q,θ) on both sides: W ← GᵀWG.
 				for k := 0; k < n; k++ {
 					wkp, wkq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+					w.Set(k, p, float64(c*wkp)-float64(s*wkq))
+					w.Set(k, q, float64(s*wkp)+float64(c*wkq))
 				}
 				for k := 0; k < n; k++ {
 					wpk, wqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+					w.Set(p, k, float64(c*wpk)-float64(s*wqk))
+					w.Set(q, k, float64(s*wpk)+float64(c*wqk))
 				}
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}

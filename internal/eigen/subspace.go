@@ -49,29 +49,36 @@ func TopQSym(a *mat.Dense, q int, opt TopQOptions) (*System, error) {
 	}
 	b := q + over
 
+	// The iteration runs on the transposed basis Qᵀ (b x n), so each basis
+	// vector is one contiguous row: OrthonormalizeRows streams it, and
+	// every product is a blocked MulTTo. (A Q)ᵀ = Qᵀ Aᵀ = MulTTo(Qᵀ, A)
+	// reads A by rows and sums each output over k in order, so it is
+	// bit-identical to the column-major Mul(A, Q).
 	rng := rand.New(rand.NewSource(opt.Seed))
-	probe := mat.NewDense(n, b)
-	for i := range probe.Data {
-		probe.Data[i] = rng.NormFloat64()
+	qt := mat.NewDense(b, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < b; j++ {
+			qt.Data[j*n+i] = rng.NormFloat64()
+		}
 	}
-	qblock := mat.Orthonormalize(probe)
+	mat.OrthonormalizeRows(qt)
+	aqt := mat.NewDense(b, n)
 	for it := 0; it < iters; it++ {
-		qblock = mat.Orthonormalize(mat.Mul(a, qblock))
+		mat.MulTTo(aqt, qt, a)
+		mat.OrthonormalizeRows(aqt)
+		qt, aqt = aqt, qt
 	}
 	// Rayleigh–Ritz: T = Qᵀ A Q, then eigendecompose the small b x b system.
-	t := mat.TMul(qblock, mat.Mul(a, qblock))
-	small, err := Sym(t)
+	mat.MulTTo(aqt, qt, a)
+	small, err := Sym(mat.MulT(qt, aqt))
 	if err != nil {
 		return nil, err
 	}
 	topVals := make([]float64, q)
 	copy(topVals, small.Values[:q])
-	idx := make([]int, q)
-	for i := range idx {
-		idx[i] = i
-	}
-	vectors := mat.Mul(qblock, small.Vectors.SelectCols(idx))
-	return &System{Values: topVals, Vectors: vectors}, nil
+	// Ritz vectors Q W for the leading q columns W of the small system.
+	w := small.Vectors.T().SliceRows(0, q)
+	return &System{Values: topVals, Vectors: mat.MulT(qt.T(), w)}, nil
 }
 
 // Residual returns max_i ||A v_i - λ_i v_i||_2, a convergence diagnostic
@@ -85,8 +92,8 @@ func Residual(a *mat.Dense, s *System) float64 {
 	for j, lam := range s.Values {
 		sum := 0.0
 		for i := 0; i < a.Rows; i++ {
-			r := av.At(i, j) - lam*s.Vectors.At(i, j)
-			sum += r * r
+			r := av.At(i, j) - float64(lam*s.Vectors.At(i, j))
+			sum += float64(r * r)
 		}
 		if sum > worst {
 			worst = sum

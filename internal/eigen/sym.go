@@ -95,7 +95,7 @@ func tred2(z *mat.Dense, d, e []float64) {
 				for k := 0; k <= l; k++ {
 					v := z.At(i, k) / scale
 					z.Set(i, k, v)
-					h += v * v
+					h += float64(v * v)
 				}
 				f := z.At(i, l)
 				g := math.Sqrt(h)
@@ -103,28 +103,28 @@ func tred2(z *mat.Dense, d, e []float64) {
 					g = -g
 				}
 				e[i] = scale * g
-				h -= f * g
+				h -= float64(f * g)
 				z.Set(i, l, f-g)
 				f = 0.0
 				for j := 0; j <= l; j++ {
 					z.Set(j, i, z.At(i, j)/h)
 					g = 0.0
 					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * z.At(i, k)
+						g += float64(z.At(j, k) * z.At(i, k))
 					}
 					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * z.At(i, k)
+						g += float64(z.At(k, j) * z.At(i, k))
 					}
 					e[j] = g / h
-					f += e[j] * z.At(i, j)
+					f += float64(e[j] * z.At(i, j))
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
 					f = z.At(i, j)
-					g = e[j] - hh*f
+					g = e[j] - float64(hh*f)
 					e[j] = g
 					for k := 0; k <= j; k++ {
-						z.Set(j, k, z.At(j, k)-f*e[k]-g*z.At(i, k))
+						z.Set(j, k, z.At(j, k)-float64(f*e[k])-float64(g*z.At(i, k)))
 					}
 				}
 			}
@@ -141,10 +141,10 @@ func tred2(z *mat.Dense, d, e []float64) {
 			for j := 0; j <= l; j++ {
 				g := 0.0
 				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+					g += float64(z.At(i, k) * z.At(k, j))
 				}
 				for k := 0; k <= l; k++ {
-					z.Set(k, j, z.At(k, j)-g*z.At(k, i))
+					z.Set(k, j, z.At(k, j)-float64(g*z.At(k, i)))
 				}
 			}
 		}
@@ -195,8 +195,8 @@ func tql2(z *mat.Dense, d, e []float64) error {
 			s, c := 1.0, 1.0
 			p := 0.0
 			for i := m - 1; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
+				f := float64(s * e[i])
+				b := float64(c * e[i])
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
@@ -207,14 +207,14 @@ func tql2(z *mat.Dense, d, e []float64) error {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2.0*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2.0*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 				for k := 0; k < n; k++ {
 					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+					z.Set(k, i+1, float64(s*z.At(k, i))+float64(c*f))
+					z.Set(k, i, float64(c*z.At(k, i))-float64(s*f))
 				}
 			}
 			if r == 0 && m-1 >= l {

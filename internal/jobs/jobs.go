@@ -354,28 +354,34 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		},
 	}
 	j.cond = sync.NewCond(&j.mu)
-	// Enqueue while still holding the lock: Close sets closed under the
-	// same lock before draining, so no job can slip into the queue after
-	// the drain and sit in StateQueued forever. The send cannot block —
-	// the queue channel's capacity is the admission bound.
+	// Hold the new job's lock from the enqueue until "submitted" is
+	// journalled: a worker that dequeues it at once blocks in run on
+	// j.mu, so its "started" cannot precede "submitted". The order m.mu,
+	// then j.mu, is the one Resume and Delete take.
+	j.mu.Lock()
+	// Enqueue while still holding the manager lock: Close sets closed
+	// under the same lock before draining, so no job can slip into the
+	// queue after the drain and sit in StateQueued forever. The send
+	// cannot block — the queue channel's capacity is the admission bound.
 	select {
 	case m.queue <- j:
 	default:
+		j.mu.Unlock()
 		m.mu.Unlock()
 		return "", ErrQueueFull
 	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	// Persist the spec and journal the submission before releasing the
-	// lock: once Submit returns the id, a crash-and-restart must be able
-	// to reconstruct the job, and no later record (a worker's "started")
-	// may precede "submitted" in the journal.
+	// locks: once Submit returns the id, a crash-and-restart must be able
+	// to reconstruct the job.
 	if m.store != nil {
 		if err := m.store.saveSpec(id, spec); err != nil {
 			m.persistFailure(id, traceID, fmt.Errorf("save spec: %w", err))
 		}
 		m.journal(journalRecord{Type: recSubmitted, Job: id, Name: name}, traceID)
 	}
+	j.mu.Unlock()
 	m.mu.Unlock()
 	m.submitted.Inc()
 	end := time.Now()

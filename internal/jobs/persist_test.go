@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -561,5 +562,55 @@ func TestPersistErrorsTolerated(t *testing.T) {
 	}
 	if evs := events.Query(obs.EventQuery{Kind: obs.KindDurableError}); len(evs) == 0 {
 		t.Fatal("no durable.error events under fault injection")
+	}
+}
+
+// TestSubmitJournalsSubmittedFirst submits many jobs to idle workers, which
+// dequeue each job the moment it is enqueued, and requires every job's
+// first journal record to be "submitted": a worker's "started" must never
+// precede it.
+func TestSubmitJournalsSubmittedFirst(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Config{Workers: 4, QueueDepth: 64, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec("order", 1, 1)
+	spec.X, spec.Y = spec.X.SliceRows(0, 40), spec.Y.SliceRows(0, 40)
+	spec.Config.S = 20
+	var ids []string
+	for i := 0; i < 40; i++ {
+		id, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if info, err := m.Wait(id); err != nil || info.State != StateDone {
+			t.Fatalf("job %s: %+v err=%v", id, info, err)
+		}
+	}
+	m.Close()
+
+	jr, replay, err := durable.OpenJournal(durable.OS{}, filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	first := map[string]string{}
+	for _, raw := range replay.Records {
+		var rec journalRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, seen := first[rec.Job]; !seen {
+			first[rec.Job] = rec.Type
+		}
+	}
+	for _, id := range ids {
+		if first[id] != recSubmitted {
+			t.Fatalf("job %s: first journal record %q, want %q", id, first[id], recSubmitted)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func sqDist(x, z []float64) float64 {
 	s := 0.0
 	for i, v := range x {
 		d := v - z[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

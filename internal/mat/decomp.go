@@ -24,7 +24,7 @@ func Cholesky(a *Dense) (*Dense, error) {
 		d := a.At(j, j)
 		lrowj := l.RowView(j)
 		for p := 0; p < j; p++ {
-			d -= lrowj[p] * lrowj[p]
+			d -= float64(lrowj[p] * lrowj[p])
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPositiveDefinite
@@ -36,7 +36,7 @@ func Cholesky(a *Dense) (*Dense, error) {
 			s := a.At(i, j)
 			lrowi := l.RowView(i)
 			for p := 0; p < j; p++ {
-				s -= lrowi[p] * lrowj[p]
+				s -= float64(lrowi[p] * lrowj[p])
 			}
 			lrowi[j] = s * inv
 		}
@@ -56,7 +56,7 @@ func SolveLowerTri(l *Dense, b []float64) []float64 {
 		s := b[i]
 		row := l.RowView(i)
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s / row[i]
 	}
@@ -74,7 +74,7 @@ func SolveUpperTriFromLowerT(l *Dense, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
+			s -= float64(l.At(j, i) * x[j])
 		}
 		x[i] = s / l.At(i, i)
 	}
@@ -99,58 +99,72 @@ func CholeskySolveMat(l *Dense, b *Dense) *Dense {
 	return out
 }
 
-// QRThin computes a thin QR factorization of an m x n matrix with m >= n
-// using modified Gram-Schmidt with one reorthogonalization pass: a = q*r
-// where q is m x n with orthonormal columns and r is n x n upper triangular.
-// Rank-deficient columns receive a zero r diagonal and a zero q column.
-func QRThin(a *Dense) (q, r *Dense) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		panic(fmt.Sprintf("mat: QRThin needs rows >= cols, got %dx%d", m, n))
+// OrthonormalizeRows replaces the rows of a (r x c, r <= c) in place with
+// an orthonormal basis of their span, by modified Gram-Schmidt with one
+// reorthogonalization pass: row j is projected off rows 0..j-1 twice, then
+// scaled to unit length. A row whose remainder after the projections has
+// norm at most 1e-300 (an exact multiple of an earlier row, say) becomes
+// zero.
+//
+// Each basis vector is one contiguous row, so every dot product and update
+// streams memory. Each sum runs over the row in index order and each row
+// sees its projections in the same order, so the result is bit-identical
+// to the same Gram-Schmidt run down the columns of aᵀ. Row j's second pass
+// and row j+1's first pass read the same finished rows 0..j-1 and do not
+// depend on each other, so they run as two dot-product chains in one sweep.
+func OrthonormalizeRows(a *Dense) {
+	if a.Rows > a.Cols {
+		panic(fmt.Sprintf("mat: OrthonormalizeRows needs rows <= cols, got %dx%d", a.Rows, a.Cols))
 	}
-	q = a.Clone()
-	r = NewDense(n, n)
-	for j := 0; j < n; j++ {
-		// Two passes of Gram-Schmidt against previous columns for stability.
-		for pass := 0; pass < 2; pass++ {
+	for j := 0; j < a.Rows; j++ {
+		qj := a.RowView(j)
+		if j > 0 {
+			// The last step of row j's first pass; the steps before it ran
+			// with row j-1's second pass.
+			project(qj, a.RowView(j-1))
+		}
+		if j+1 < a.Rows {
+			next := a.RowView(j + 1)
 			for p := 0; p < j; p++ {
-				s := 0.0
-				for i := 0; i < m; i++ {
-					s += q.At(i, p) * q.At(i, j)
-				}
-				if pass == 0 {
-					r.Set(p, j, r.At(p, j)+s)
-				} else {
-					r.Set(p, j, r.At(p, j)+s)
-				}
-				for i := 0; i < m; i++ {
-					q.Set(i, j, q.At(i, j)-s*q.At(i, p))
-				}
-			}
-		}
-		norm := 0.0
-		for i := 0; i < m; i++ {
-			norm += q.At(i, j) * q.At(i, j)
-		}
-		norm = math.Sqrt(norm)
-		r.Set(j, j, norm)
-		if norm > 1e-300 {
-			inv := 1.0 / norm
-			for i := 0; i < m; i++ {
-				q.Set(i, j, q.At(i, j)*inv)
+				project2(qj, next, a.RowView(p))
 			}
 		} else {
-			for i := 0; i < m; i++ {
-				q.Set(i, j, 0)
+			for p := 0; p < j; p++ {
+				project(qj, a.RowView(p))
 			}
 		}
+		norm := math.Sqrt(Dot(qj, qj))
+		if norm > 1e-300 {
+			inv := 1.0 / norm
+			for i := range qj {
+				qj[i] *= inv
+			}
+		} else {
+			clear(qj)
+		}
 	}
-	return q, r
 }
 
-// Orthonormalize returns a matrix whose columns orthonormally span the
-// column space of a (the Q factor of QRThin).
-func Orthonormalize(a *Dense) *Dense {
-	q, _ := QRThin(a)
-	return q
+// project computes x -= (v·x) v.
+func project(x, v []float64) {
+	s := Dot(v, x)
+	x = x[:len(v)]
+	for i, vi := range v {
+		x[i] -= float64(s * vi)
+	}
+}
+
+// project2 is project on x and on y, with the two dot products as
+// independent chains in one sweep over v.
+func project2(x, y, v []float64) {
+	x, y = x[:len(v)], y[:len(v)]
+	var sx, sy float64
+	for i, vi := range v {
+		sx += float64(vi * x[i])
+		sy += float64(vi * y[i])
+	}
+	for i, vi := range v {
+		x[i] -= float64(sx * vi)
+		y[i] -= float64(sy * vi)
+	}
 }

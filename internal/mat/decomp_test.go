@@ -103,52 +103,161 @@ func TestTriangularSolves(t *testing.T) {
 	}
 }
 
-func TestQRThinOrthonormalAndReconstructs(t *testing.T) {
+// columnMGS is the column-major two-pass modified Gram-Schmidt that
+// OrthonormalizeRows replaced, kept as its reference: it orthonormalizes
+// the columns of a (m x n, m >= n) through At/Set.
+func columnMGS(a *Dense) *Dense {
+	m, n := a.Rows, a.Cols
+	q := a.Clone()
+	for j := 0; j < n; j++ {
+		for pass := 0; pass < 2; pass++ {
+			for p := 0; p < j; p++ {
+				s := 0.0
+				for i := 0; i < m; i++ {
+					s += float64(q.At(i, p) * q.At(i, j))
+				}
+				for i := 0; i < m; i++ {
+					q.Set(i, j, q.At(i, j)-float64(s*q.At(i, p)))
+				}
+			}
+		}
+		norm := 0.0
+		for i := 0; i < m; i++ {
+			norm += float64(q.At(i, j) * q.At(i, j))
+		}
+		norm = math.Sqrt(norm)
+		if norm > 1e-300 {
+			inv := 1.0 / norm
+			for i := 0; i < m; i++ {
+				q.Set(i, j, q.At(i, j)*inv)
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				q.Set(i, j, 0)
+			}
+		}
+	}
+	return q
+}
+
+// checkOrthonormalizeRows runs OrthonormalizeRows on a copy of a and
+// requires it to equal the column reference on aᵀ bit for bit.
+func checkOrthonormalizeRows(t *testing.T, name string, a *Dense) {
+	t.Helper()
+	want := columnMGS(a.T()).T()
+	got := a.Clone()
+	OrthonormalizeRows(got)
+	if i, ok := sameBits(got, want); !ok {
+		t.Fatalf("%s %dx%d: element %d = %v, want %v", name, a.Rows, a.Cols, i, got.Data[i], want.Data[i])
+	}
+}
+
+// TestOrthonormalizeRowsBitExact pins the row-major Gram-Schmidt to the
+// column-major one it replaced, on ragged shapes: 1x1, square, odd row
+// counts, the subspace iteration's block shape, rank-deficient inputs and
+// zero rows.
+func TestOrthonormalizeRowsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, dims := range [][2]int{{1, 1}, {1, 9}, {2, 2}, {7, 7}, {3, 10}, {5, 12}, {13, 40}, {33, 33}, {29, 145}} {
+		checkOrthonormalizeRows(t, "random", randDense(rng, dims[0], dims[1]))
+	}
+	// Row 2 repeats row 0 and row 3 is a multiple of row 1.
+	dup := randDense(rng, 5, 11)
+	copy(dup.RowView(2), dup.RowView(0))
+	for i, v := range dup.RowView(1) {
+		dup.Set(3, i, -3*v)
+	}
+	checkOrthonormalizeRows(t, "dependent", dup)
+	checkOrthonormalizeRows(t, "multiple", NewDenseData(2, 3, []float64{1, 1, 1, 2, 2, 2}))
+	zero := randDense(rng, 6, 9)
+	zero.SetRow(0, make([]float64, 9))
+	zero.SetRow(4, make([]float64, 9))
+	checkOrthonormalizeRows(t, "zero rows", zero)
+	checkOrthonormalizeRows(t, "all zero", NewDense(4, 4))
+	// Rank 2 in 6 rows: every row is a combination of two.
+	basis := randDense(rng, 2, 15)
+	checkOrthonormalizeRows(t, "rank 2", Mul(randDense(rng, 6, 2), basis))
+}
+
+// FuzzOrthonormalizeRows checks OrthonormalizeRows against the column
+// reference bit for bit on fuzzed shapes and values; dup makes one row a
+// scaled copy of an earlier one.
+func FuzzOrthonormalizeRows(f *testing.F) {
+	f.Add(uint8(3), uint8(7), uint8(0), int64(1))
+	f.Add(uint8(12), uint8(12), uint8(5), int64(2))
+	f.Fuzz(func(t *testing.T, rr, rextra, dup uint8, seed int64) {
+		r := int(rr)%40 + 1
+		c := r + int(rextra)%60
+		rng := rand.New(rand.NewSource(seed))
+		a := randDense(rng, r, c)
+		if d := int(dup) % (r + 1); d > 0 && d < r {
+			for i, v := range a.RowView(d - 1) {
+				a.Set(d, i, float64(dup)*v)
+			}
+		}
+		checkOrthonormalizeRows(t, "fuzz", a)
+	})
+}
+
+func TestOrthonormalizeRowsOrthonormalAndReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, dims := range [][2]int{{5, 5}, {10, 4}, {40, 12}} {
+	for _, dims := range [][2]int{{5, 5}, {4, 10}, {12, 40}} {
 		a := randDense(rng, dims[0], dims[1])
-		q, r := QRThin(a)
-		// QᵀQ = I
-		qtq := TMul(q, q)
-		if !Equal(qtq, Eye(dims[1]), 1e-10) {
-			t.Fatalf("dims %v: QᵀQ != I", dims)
+		q := a.Clone()
+		OrthonormalizeRows(q)
+		// Q Qᵀ = I
+		if !Equal(MulT(q, q), Eye(dims[0]), 1e-10) {
+			t.Fatalf("dims %v: Q Qᵀ != I", dims)
 		}
-		// QR = A
-		if !Equal(Mul(q, r), a, 1e-10) {
-			t.Fatalf("dims %v: QR != A", dims)
+		// A = L Q with L = A Qᵀ lower triangular.
+		l := MulT(a, q)
+		if !Equal(Mul(l, q), a, 1e-10) {
+			t.Fatalf("dims %v: L Q != A", dims)
 		}
-		// R upper triangular
-		for i := 0; i < dims[1]; i++ {
-			for j := 0; j < i; j++ {
-				if r.At(i, j) != 0 {
-					t.Fatalf("dims %v: R not upper triangular", dims)
+		for i := 0; i < dims[0]; i++ {
+			for j := i + 1; j < dims[0]; j++ {
+				if math.Abs(l.At(i, j)) > 1e-10 {
+					t.Fatalf("dims %v: L not lower triangular at (%d,%d): %v", dims, i, j, l.At(i, j))
 				}
 			}
 		}
 	}
 }
 
-func TestQRThinRankDeficient(t *testing.T) {
-	// Second column is a multiple of the first.
-	a := NewDenseData(3, 2, []float64{1, 2, 1, 2, 1, 2})
-	q, r := QRThin(a)
-	if math.Abs(r.At(1, 1)) > 1e-10 {
-		t.Fatalf("rank-deficient column should produce ~0 diagonal, got %v", r.At(1, 1))
+func TestOrthonormalizeRowsRankDeficient(t *testing.T) {
+	// The second row is twice the first, and the projection cancels it
+	// exactly, so it becomes zero.
+	a := NewDenseData(2, 4, []float64{1, 1, 1, 1, 2, 2, 2, 2})
+	q := a.Clone()
+	OrthonormalizeRows(q)
+	for _, v := range q.RowView(1) {
+		if v != 0 {
+			t.Fatalf("dependent row should become zero, got %v", q.RowView(1))
+		}
 	}
-	if !Equal(Mul(q, r), a, 1e-10) {
-		t.Fatal("QR != A for rank-deficient input")
+	if !Equal(Mul(MulT(a, q), q), a, 1e-10) {
+		t.Fatal("L Q != A for rank-deficient input")
 	}
 }
 
-func TestOrthonormalizeSpansSameSpace(t *testing.T) {
+func TestOrthonormalizeRowsSpansSameSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	a := randDense(rng, 20, 5)
-	q := Orthonormalize(a)
-	// Projecting A onto span(Q) must reproduce A: Q Qᵀ A == A.
-	proj := Mul(q, TMul(q, a))
-	if !Equal(proj, a, 1e-9) {
-		t.Fatal("Q does not span col(A)")
+	a := randDense(rng, 5, 20)
+	q := a.Clone()
+	OrthonormalizeRows(q)
+	// Projecting A's rows onto span(Q's rows) must reproduce A: A Qᵀ Q == A.
+	if !Equal(Mul(MulT(a, q), q), a, 1e-9) {
+		t.Fatal("rows of Q do not span the rows of A")
 	}
+}
+
+func TestOrthonormalizeRowsPanicsOnWide(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OrthonormalizeRows of a 3x2 matrix did not panic")
+		}
+	}()
+	OrthonormalizeRows(NewDense(3, 2))
 }
 
 // Property: Cholesky solve returns a vector satisfying A x = b.

@@ -1,8 +1,9 @@
 // Package mat implements the dense linear algebra substrate used by the
 // EigenPro 2.0 reproduction: a row-major float64 matrix type, parallel
-// matrix products, elementwise and reduction operations, and the
-// factorizations (QR, Cholesky) needed by the eigensolvers and the FALKON
-// baseline.
+// matrix products, elementwise and reduction operations, the Cholesky
+// factorization the FALKON baseline needs, and the orthonormalization
+// (OrthonormalizeRows, a row-major two-pass modified Gram-Schmidt) that
+// the eigensolvers' subspace iteration needs.
 //
 // The matrix products split their output rows across GOMAXPROCS
 // goroutines (ParallelRows). MulTTo, the kernel-matrix GEMM that dominates
@@ -10,6 +11,15 @@
 // 4x2 register blocks. Each product accumulates every output over k in
 // sequential order, so results are bit-identical whatever the row split,
 // the tiling or GOMAXPROCS; bit-exact checkpoint resume relies on this.
+//
+// Arithmetic contract: every product inside a sum or an update is written
+// float64(a*b). The Go spec lets a compiler fuse x*y + z into one
+// multiply-add with a single rounding, and the arm64 and riscv64 back ends
+// do; an explicit conversion rounds the product and forbids that. So each
+// sum rounds every product and every addition, and results are the same
+// bits on every GOARCH. internal/eigen, internal/kernel and internal/core
+// follow the same rule, and CI cross-compiles the four packages and fails
+// on any fused op.
 //
 // The package is deliberately self-contained (standard library only) since
 // the Go ecosystem offers no BLAS/GPU path for this workload; internal/device
@@ -216,7 +226,7 @@ func (a *Dense) FrobeniusNorm() float64 {
 	sum := 0.0
 	for _, v := range a.Data {
 		r := v / scale
-		sum += r * r
+		sum += float64(r * r)
 	}
 	return scale * math.Sqrt(sum)
 }

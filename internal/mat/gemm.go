@@ -71,7 +71,7 @@ func MulTo(dst, a, b *Dense) {
 				}
 				brow := b.Data[p*m : (p+1)*m]
 				for j, bv := range brow {
-					drow[j] += av * bv
+					drow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -137,14 +137,14 @@ func mulTTRows(dst, a, b *Dense, lo, hi, tile int) {
 				for p, av0 := range a0 {
 					av1, av2, av3 := a1[p], a2[p], a3[p]
 					bv0, bv1 := b0[p], b1[p]
-					s00 += av0 * bv0
-					s01 += av0 * bv1
-					s10 += av1 * bv0
-					s11 += av1 * bv1
-					s20 += av2 * bv0
-					s21 += av2 * bv1
-					s30 += av3 * bv0
-					s31 += av3 * bv1
+					s00 += float64(av0 * bv0)
+					s01 += float64(av0 * bv1)
+					s10 += float64(av1 * bv0)
+					s11 += float64(av1 * bv1)
+					s20 += float64(av2 * bv0)
+					s21 += float64(av2 * bv1)
+					s30 += float64(av3 * bv0)
+					s31 += float64(av3 * bv1)
 				}
 				d0[j], d0[j+1] = s00, s01
 				d1[j], d1[j+1] = s10, s11
@@ -189,7 +189,7 @@ func TMul(a, b *Dense) *Dense {
 				}
 				drow := out.RowView(i)
 				for j, bv := range brow {
-					drow[j] += av * bv
+					drow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -234,7 +234,7 @@ func MulNaive(a, b *Dense) *Dense {
 		for j := 0; j < b.Cols; j++ {
 			s := 0.0
 			for p := 0; p < a.Cols; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += float64(a.At(i, p) * b.At(p, j))
 			}
 			out.Set(i, j, s)
 		}

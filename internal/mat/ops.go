@@ -71,7 +71,7 @@ func AddScaledInPlace(a *Dense, s float64, b *Dense) {
 		panic(dimErr("AddScaledInPlace", a, b))
 	}
 	for i := range a.Data {
-		a.Data[i] += s * b.Data[i]
+		a.Data[i] += float64(s * b.Data[i])
 	}
 }
 
@@ -110,7 +110,7 @@ func Dot(x, y []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -121,7 +121,7 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 
@@ -139,7 +139,7 @@ func Norm2(x []float64) float64 {
 	sum := 0.0
 	for _, v := range x {
 		r := v / scale
-		sum += r * r
+		sum += float64(r * r)
 	}
 	return scale * math.Sqrt(sum)
 }
@@ -152,7 +152,7 @@ func SqDist(x, z []float64) float64 {
 	s := 0.0
 	for i, v := range x {
 		d := v - z[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -163,7 +163,7 @@ func RowSumSq(a *Dense) []float64 {
 	for i := 0; i < a.Rows; i++ {
 		s := 0.0
 		for _, v := range a.RowView(i) {
-			s += v * v
+			s += float64(v * v)
 		}
 		out[i] = s
 	}
@@ -201,7 +201,7 @@ func ColStds(a *Dense, means []float64) []float64 {
 	for i := 0; i < a.Rows; i++ {
 		for j, v := range a.RowView(i) {
 			d := v - means[j]
-			out[j] += d * d
+			out[j] += float64(d * d)
 		}
 	}
 	inv := 1.0 / float64(a.Rows)
